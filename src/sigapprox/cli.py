@@ -215,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--grid", type=int, help="validation grid size")
     p_approx.add_argument("--out-network", help="write the network document (JSON)")
     p_approx.add_argument("--out-samples", help="write sample rows (CSV)")
-    p_approx.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count for validation (output is identical for any value)",
-    )
     p_approx.set_defaults(func=cmd_approximate)
 
     p_deriv = sub.add_parser("derivative", help="nth derivative of the sigmoid")

@@ -257,6 +257,11 @@ class SigmoidApproximant:
             out.append(acc)
         return tuple(out)
 
+    @cached_property
+    def _cmax(self) -> float:
+        # bound on every coefficient that can sit right of x in `evaluate`
+        return max(map(abs, self.coeffs), default=0.0)
+
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     """Construct G for the recipe: one f evaluation per partition point."""
@@ -275,14 +280,31 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     return SigmoidApproximant(w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs)
 
 
-def evaluate(g: SigmoidApproximant, x: float, fast: bool = True) -> float:
-    """G(x), summed over units in ascending center order.
+def evaluate(g: SigmoidApproximant, x: float) -> float:
+    """G(x), bit-identical to the naive sum over all units in ascending
+    center order.  Evaluation outside [a, b] is permitted; the certificate
+    only covers the inside.
 
-    The fast path replaces saturated sigmoids by exactly 1.0 (argument above
-    POS_CUTOFF, folded through the precomputed prefix sums) and exactly 0.0
-    (below NEG_CUTOFF); both substitutions are bit-identical to the naive
-    path.  Evaluation outside [a, b] is permitted; the certificate only
-    covers the inside.
+    Three shortcuts skip units without changing a bit of the result:
+
+    - Units with argument above POS_CUTOFF have sigma == 1.0 exactly; they
+      are folded in through the precomputed prefix sums.
+    - Units with argument below NEG_CUTOFF have sigma == 0.0 exactly and
+      are never visited.
+    - In between, the loop leaves early once the remaining tail cannot
+      change the sum.  After adding unit u with argument t = w*(x - c_u)
+      and sigmoid s_u, it stops when t < 0 and cmax * s_u < ulp(acc)/8,
+      where cmax = max|coeffs| over the forward differences (unit 0, the
+      f(a) unit, is leftmost and never in the tail).  Centers ascend, so
+      every later unit has an argument no larger than t, a sigmoid no
+      larger than s_u up to rounding, and a coefficient of modulus at most
+      cmax; the factor-2 margin between ulp/8 and ulp/4 absorbs the
+      rounding of the sigmoid and of the products.  Each later product is
+      therefore below a quarter of the float spacing on either side of acc
+      (at a power of two the spacing below is ulp/2), so acc + c*s rounds
+      back to acc, acc never changes again, and returning early gives the
+      same double as the full loop.  When acc is 0 or subnormal, ulp(acc)/8
+      is 0 or underflows, so the loop never leaves early there.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -290,16 +312,17 @@ def evaluate(g: SigmoidApproximant, x: float, fast: bool = True) -> float:
     w = g.w
     centers = g._centers
     coeffs = g._unit_coeffs
-    if fast:
-        lo = bisect_left(centers, x - POS_CUTOFF / w)
-        hi = bisect_right(centers, x - NEG_CUTOFF / w)
-        acc = g._prefix[lo - 1] if lo > 0 else 0.0
-        for u in range(lo, hi):
-            acc += coeffs[u] * sigmoid(w * (x - centers[u]))
-        return acc
-    acc = 0.0
-    for u in range(len(centers)):
-        acc += coeffs[u] * sigmoid(w * (x - centers[u]))
+    cmax = g._cmax
+    ulp = math.ulp
+    lo = bisect_left(centers, x - POS_CUTOFF / w)
+    hi = bisect_right(centers, x - NEG_CUTOFF / w)
+    acc = g._prefix[lo - 1] if lo > 0 else 0.0
+    for u in range(lo, hi):
+        t = w * (x - centers[u])
+        s = sigmoid(t)
+        acc += coeffs[u] * s
+        if t < 0.0 and cmax * s < ulp(acc) / 8:
+            break
     return acc
 
 
@@ -369,9 +392,9 @@ def surrogate_L(g: SigmoidApproximant, spec: FunctionSpec, i: int, x: float) -> 
     pts = g.partition.points
     if not (pts[i] <= x <= pts[i + 1]):
         raise ValueError(f"x={x!r} not in cell [{pts[i]!r}, {pts[i + 1]!r}]")
-    acc = g.coeff0
-    for k in range(2, i):
-        acc += g.coeff(k)
+    # the left-to-right fold of coeff0 and coeff(2)..coeff(i-1), i.e. of
+    # unit coefficients 0..i-2
+    acc = g._prefix[i - 2]
     acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
     acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
     return acc

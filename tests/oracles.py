@@ -3,7 +3,9 @@
 These deliberately avoid the library's own code paths: set partitions are
 enumerated by brute force, and derivatives come from nested central
 differences evaluated in high-precision arithmetic (mpmath), so agreement
-with the closed-form implementations is meaningful.
+with the closed-form implementations is meaningful.  The one exception is
+`reference_G`, which defines what "bit-identical" means for the evaluator
+and so must use the library's own sigmoid.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 import mpmath as mp
+
+from sigapprox.sigmoid import sigmoid
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -75,3 +79,16 @@ def richardson_diff(f: Callable[[float], float], x: float, h: float = 1e-3) -> f
         return (f(x + step) - f(x - step)) / (2.0 * step)
 
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
+
+
+def reference_G(g, x: float) -> float:
+    """G(x) by the naive O(N) sum: every unit, ascending center order, no
+    cutoffs and no early exit.  `engine.evaluate` must return the same
+    double at every finite x."""
+    pts = g.partition.points
+    centers = [pts[0]] + list(pts[2:])
+    coeffs = [g.coeff0] + list(g.coeffs)
+    acc = 0.0
+    for c, center in zip(coeffs, centers):
+        acc += c * sigmoid(g.w * (x - center))
+    return acc

@@ -112,12 +112,15 @@ def test_approximate_pass_and_outputs(capsys, tmp_path):
     assert len(doc["units"]) == int(values["N"]) + 1
 
 
-def test_approximate_threads_flag_does_not_change_output(capsys):
-    base = ["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.2",
-            "--lipschitz", "1", "--sup", "1", "--grid", "301"]
-    _, out1, _ = run(capsys, base)
-    _, out2, _ = run(capsys, base + ["--threads", "4"])
-    assert out1 == out2
+def test_approximate_rejects_threads_flag(capsys):
+    code, out, err = run(
+        capsys,
+        ["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1", "--grid", "301", "--threads", "4"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_approximate_undersized_lipschitz_reports_sup(capsys):

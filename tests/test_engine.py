@@ -7,6 +7,7 @@ import pytest
 from sigapprox.engine import (
     Recipe,
     RecipeError,
+    SigmoidApproximant,
     SurrogateNotApplicableError,
     build_approximant,
     compute_eta,
@@ -20,6 +21,8 @@ from sigapprox.engine import (
 from sigapprox.expressions import EvalDomainError, FunctionSpec
 from sigapprox.partition import select_index
 from sigapprox.sigmoid import sigmoid
+
+from oracles import reference_G
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 WIGGLY_L = 1.0 + 1.8 * math.pi + 0.2
@@ -199,6 +202,36 @@ def test_evaluate_rejects_non_finite_x():
         evaluate(g, math.inf)
 
 
+def _bits(v):
+    return v.hex()
+
+
+def _crossing(g, lo, hi, level):
+    """x in [lo, hi] where G passes `level`, by bisection on the evaluator
+    (G is increasing in the cases used here)."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if evaluate(g, mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _around(x, steps=40):
+    """x, its float neighbours and a few nearby points."""
+    out = [x]
+    up = down = x
+    for _ in range(steps):
+        up = math.nextafter(up, math.inf)
+        down = math.nextafter(down, -math.inf)
+        out += [up, down]
+    out += [x + d for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)]
+    return out
+
+
 def test_fast_path_bit_identical():
     rng = random.Random(42)
     for text, lipschitz, sup, eps in [
@@ -211,7 +244,50 @@ def test_fast_path_bit_identical():
         g = build_approximant(spec, r)
         for _ in range(10_000):
             x = rng.uniform(-0.5, 1.5)
-            assert evaluate(g, x, fast=True) == evaluate(g, x, fast=False)
+            assert _bits(evaluate(g, x)) == _bits(reference_G(g, x))
+
+    # inputs that stress the early exit from the sigmoid window
+    cases = []
+    # G crosses 0, so the running sum is tiny or exactly 0 near the root
+    g = build_approximant(make_spec("x - 0.5", 1.0, 0.5), manual_recipe(0, 1, 300))
+    cases.append((g, _around(_crossing(g, 0.3, 0.7, 0.0))))
+    g = build_approximant(make_spec("0", 1.0, 0.0), manual_recipe(0, 1, 200))
+    cases.append((g, [rng.uniform(-0.2, 1.2) for _ in range(200)]))
+    # constant f: every forward difference is 0, so cmax = 0
+    g = build_approximant(make_spec("3", 1.0, 3.0), manual_recipe(0, 1, 200))
+    assert g._cmax == 0.0
+    cases.append((g, [rng.uniform(-0.2, 1.2) for _ in range(500)]))
+    # abs kink: the largest coefficients lie right of every x < 0.5
+    g = build_approximant(make_spec("x + 3*abs(x-0.5)", 4.0, 1.5),
+                          manual_recipe(0, 1, 300))
+    assert max(map(abs, g.coeffs[:140])) < g._cmax
+    cases.append((g, [rng.uniform(0.3, 0.5) for _ in range(1000)]))
+    # G near the powers of two 1 and 2, approached from both sides
+    g = build_approximant(make_spec("x + 1", 1.0, 2.0), manual_recipe(0, 1, 300))
+    near = _around(_crossing(g, 0.0, 0.1, 1.0)) + _around(_crossing(g, 0.9, 1.0, 2.0))
+    cases.append((g, near + [rng.uniform(-0.02, 0.02) for _ in range(300)]
+                  + [rng.uniform(0.98, 1.02) for _ in range(300)]))
+    # x outside [a, b], near and far
+    cases.append((g, [-1e6, -10.0, -0.5, -0.01, 1.01, 1.5, 10.0, 1e6]))
+    # coefficients spread over ~25 binades with random signs
+    g = build_approximant(make_spec("x", 1.0, 1.0), manual_recipe(0, 1, 300))
+    coeffs = tuple(rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-80, 5)
+                   for _ in g.coeffs)
+    g = SigmoidApproximant(w=g.w, partition=g.partition, coeff0=1.0, coeffs=coeffs)
+    cases.append((g, [rng.uniform(-0.1, 1.1) for _ in range(2000)]))
+    # slowly decaying sigmoids (w*h = 0.02) and forward differences within a
+    # few binades of ulp(G): tail products sit near the rounding threshold,
+    # where a smaller margin than ulp/8 changes the result
+    p = g.partition
+    for _ in range(20):
+        coeffs = tuple(rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-58, -48)
+                       for _ in p.points[2:])
+        g = SigmoidApproximant(w=0.02 / p.h, partition=p,
+                               coeff0=rng.choice((0.5, 1.0, 2.0)), coeffs=coeffs)
+        cases.append((g, [rng.uniform(-0.1, 1.1) for _ in range(100)]))
+    for g, xs in cases:
+        for x in xs:
+            assert _bits(evaluate(g, x)) == _bits(reference_G(g, x)), x
 
 
 def test_validate_zero_function():
@@ -279,6 +355,22 @@ def test_surrogate_direct_substitution_i3():
         + (f(pts[4]) - f(pts[3])) * sigmoid(-g.w * g.partition.h)
     )
     assert surrogate_L(g, spec, 3, x) == pytest.approx(expected, rel=1e-13)
+
+
+def test_surrogate_matches_reference_fold():
+    spec = make_spec(WIGGLY, WIGGLY_L, 1.05)
+    r = compute_recipe(spec, 0.05)
+    assert r.n >= 1000
+    g = build_approximant(spec, r)
+    pts = g.partition.points
+    for i in (3, 4, 5, 17, r.n // 2, r.n - 1, r.n):
+        x = 0.5 * (pts[i] + pts[i + 1])
+        acc = g.coeff0
+        for k in range(2, i):
+            acc += g.coeff(k)
+        acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
+        acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
+        assert _bits(surrogate_L(g, spec, i, x)) == _bits(acc)
 
 
 def test_surrogate_rejects_small_index():
