@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Optional
 
@@ -56,6 +57,10 @@ def _emit(lines: list[tuple[str, Any]], as_json: bool) -> None:
 
 
 def _build_spec(args: argparse.Namespace) -> FunctionSpec:
+    for flag in ("a", "b", "eps", "lipschitz", "sup", "delta"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value!r}")
     if args.a >= args.b:
         raise UsageError(f"need --a < --b, got {args.a!r} >= {args.b!r}")
     if args.eps <= 0.0:
@@ -105,12 +110,12 @@ def cmd_recipe(args: argparse.Namespace) -> int:
 
 
 def cmd_approximate(args: argparse.Namespace) -> int:
+    if args.grid is not None and args.grid < 2:
+        raise UsageError("--grid must be at least 2")
     spec = _build_spec(args)
     recipe = engine.compute_recipe(spec, args.eps)
     g = engine.build_approximant(spec, recipe)
     grid = args.grid if args.grid is not None else max(10_001, 10 * recipe.n)
-    if grid < 2:
-        raise UsageError("--grid must be at least 2")
     report = engine.validate(g, spec, args.eps, grid)
     if args.out_network:
         doc = export.to_network_document(g, recipe, spec)

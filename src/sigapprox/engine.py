@@ -27,10 +27,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import merge
 from typing import Callable, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
-from .partition import UniformPartition, select_index, unif_part
+from .partition import UniformPartition, select_index, unif_part, uniform_grid
 from .sigmoid import sigmoid
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_N_CAP = 10_000_000
+M_SIGMA = 1.0  # sup |sigma| of the logistic sigmoid
 
 # Fast-path saturation cutoffs for the shared-slope evaluation.  For
 # arguments above POS_CUTOFF the sigmoid is exactly 1.0 in double
@@ -127,21 +129,17 @@ def compute_eta(epsilon: float, m_f: float, m_sigma: float) -> float:
     return epsilon / (m_f + 2.0 * m_sigma + 2.0)
 
 
-def compute_recipe(
-    spec: FunctionSpec,
-    epsilon: float,
-    m_sigma: float = 1.0,
-    n_cap: int = DEFAULT_N_CAP,
-) -> Recipe:
+def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     """Derive (eta, delta, N, h, w) for the target function and error.
 
     Missing M_f / L are filled in by the grid estimators; a supplied
-    modulus_override replaces delta = eta/L entirely.  N above `n_cap` is
-    rejected with the required value in the message: the requested epsilon
-    is too small for desk-scale validation.
+    modulus_override replaces delta = eta/L entirely.  N above
+    DEFAULT_N_CAP is rejected with the required value in the message: the
+    requested epsilon is too small for desk-scale validation.  So is an
+    interval too narrow for h and w to be representable.
     """
-    if epsilon <= 0.0:
-        raise RecipeError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise RecipeError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
 
     if spec.sup_bound is not None:
@@ -149,7 +147,7 @@ def compute_recipe(
     else:
         m_f, m_f_source = estimate_sup(spec), ESTIMATED
 
-    eta = compute_eta(epsilon, m_f, m_sigma)
+    eta = compute_eta(epsilon, m_f, M_SIGMA)
 
     lipschitz: Optional[float]
     if spec.modulus_override is not None:
@@ -164,19 +162,32 @@ def compute_recipe(
             raise RecipeError("Lipschitz constant must be positive")
         delta = eta / lipschitz
 
-    candidates = (3.0, 2.0 * (b - a) / delta, 1.0 / eta)
-    n = int(math.floor(max(candidates))) + 1
-    if n > n_cap:
+    # eta or delta can underflow to 0 and b - a can overflow; such
+    # operands read as infinite, i.e. as an N beyond any cap
+    candidates = (
+        3.0,
+        2.0 * (b - a) / delta if delta > 0.0 else math.inf,
+        1.0 / eta if eta > 0.0 else math.inf,
+    )
+    top = max(candidates)
+    if not top < DEFAULT_N_CAP:
+        required = int(math.floor(top)) + 1 if math.isfinite(top) else top
         raise RecipeError(
-            f"required N = {n} exceeds the cap {n_cap}; "
+            f"required N = {required} exceeds the cap {DEFAULT_N_CAP}; "
             "epsilon is too small for this configuration"
         )
+    n = int(math.floor(top)) + 1
     h = (b - a) / n
-    w = math.log(n - 1.0) / h
+    w = math.log(n - 1.0) / h if h > 0.0 else math.inf
+    if not math.isfinite(w):
+        raise RecipeError(
+            f"[{a!r}, {b!r}] is too narrow for N = {n}: "
+            f"h = {h!r} gives a non-finite slope"
+        )
     return Recipe(
         epsilon=float(epsilon),
         m_f=m_f,
-        m_sigma=float(m_sigma),
+        m_sigma=M_SIGMA,
         eta=eta,
         delta=delta,
         n=n,
@@ -326,36 +337,31 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     return acc
 
 
-def _error_grid(
-    g: SigmoidApproximant, a: float, b: float, grid_size: int, include_knots: bool
-) -> list[float]:
-    xs = [a + (b - a) * j / (grid_size - 1) for j in range(grid_size)]
-    if include_knots:
-        xs.extend(p for p in g.partition.points if a < p < b)
-        xs = sorted(set(xs))
-    return xs
-
-
 def validate(
-    g: SigmoidApproximant,
-    spec: FunctionSpec,
-    epsilon: float,
-    grid_size: int,
-    include_partition_points: bool = True,
+    g: SigmoidApproximant, spec: FunctionSpec, epsilon: float, grid_size: int
 ) -> ErrorReport:
-    """Measure sup |G - f| on a uniform grid of [a, b] (endpoints included,
-    partition knots merged in by default so the estimate cannot alias the
-    mesh).  Pass iff the measured sup is below epsilon.  Ties on the sup go
-    to the leftmost grid point."""
+    """Measure sup |G - f| on a uniform grid of [a, b] with the partition
+    knots inside (a, b) merged in, so the estimate cannot alias the mesh.
+    Pass iff the measured sup is below epsilon.  Ties on the sup go to the
+    leftmost point.  The grid is streamed: memory is O(1) in grid_size."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     a, b = spec.interval.a, spec.interval.b
-    xs = _error_grid(g, a, b, grid_size, include_partition_points)
+    knots = (p for p in g.partition.points if a < p < b)
+    # Both streams ascend (rounding is monotone) and merge is stable, so
+    # skipping repeats visits the same points in the same order as
+    # sorted(set(grid + knots)).
     sup = -1.0
     argmax = a
-    for x in xs:
+    count = 0
+    prev = math.nan
+    for x in merge(uniform_grid(a, b, grid_size), knots):
+        if x == prev:
+            continue
+        prev = x
+        count += 1
         fx = spec(x)
         if not math.isfinite(fx):
             raise ValueError(f"f is non-finite at grid point x={x!r}")
@@ -364,7 +370,7 @@ def validate(
             sup = err
             argmax = x
     return ErrorReport(
-        grid_size=len(xs),
+        grid_size=count,
         sup_error=sup,
         argmax_x=argmax,
         target_epsilon=float(epsilon),

@@ -15,7 +15,7 @@ from typing import IO, Any, Union
 
 from .engine import Recipe, SigmoidApproximant, evaluate
 from .expressions import FunctionSpec, format_ast
-from .partition import unif_part
+from .partition import unif_part, uniform_grid
 
 __all__ = [
     "FORMAT_VERSION",
@@ -139,8 +139,7 @@ def write_samples(
     fh, owned = _open_destination(destination)
     try:
         fh.write(SAMPLES_HEADER + "\n")
-        for j in range(grid_size):
-            x = a + (b - a) * j / (grid_size - 1)
+        for x in uniform_grid(a, b, grid_size):
             fx = spec(x)
             if not math.isfinite(fx):
                 raise ValueError(f"f is non-finite at x={x!r}")

@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .partition import uniform_grid
+
 __all__ = [
     "ExprError",
     "LexError",
@@ -355,6 +357,10 @@ class FunctionSpec:
     text: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("lipschitz", "sup_bound", "modulus_override"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite when supplied")
         if self.lipschitz is not None and self.lipschitz <= 0.0:
             raise ValueError("lipschitz must be positive when supplied")
         if self.sup_bound is not None and self.sup_bound < 0.0:
@@ -390,35 +396,33 @@ class FunctionSpec:
 # slack on L also covers central differences straddling an abs() kink.
 LIPSCHITZ_SAFETY = 1.25
 SUP_SAFETY = 1.01
+ESTIMATOR_SAMPLES = 1000  # grid points sampled by both estimators
 
 
-def estimate_lipschitz(spec: FunctionSpec, samples: int = 1000) -> float:
+def estimate_lipschitz(spec: FunctionSpec) -> float:
     """Grid maximum of |f'| by central differences, times a safety factor.
 
-    Step size is (b - a)/(10*samples).  Used only when spec.lipschitz is
-    absent; the result is an estimate, not a certified bound.
+    Step size is (b - a)/(10*ESTIMATOR_SAMPLES).  Used only when
+    spec.lipschitz is absent; the result is an estimate, not a certified
+    bound.
     """
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
     a, b = spec.interval.a, spec.interval.b
-    step = (b - a) / (10.0 * samples)
+    step = (b - a) / (10.0 * ESTIMATOR_SAMPLES)
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"no finite-difference step fits [{a!r}, {b!r}]")
     best = 0.0
-    for j in range(samples):
-        x = a + (b - a) * j / (samples - 1)
+    for x in uniform_grid(a, b, ESTIMATOR_SAMPLES):
         slope = abs(spec(x + step) - spec(x - step)) / (2.0 * step)
         if slope > best:
             best = slope
     return best * LIPSCHITZ_SAFETY
 
 
-def estimate_sup(spec: FunctionSpec, samples: int = 1000) -> float:
+def estimate_sup(spec: FunctionSpec) -> float:
     """Grid maximum of |f| (endpoints included), times a safety factor."""
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
     a, b = spec.interval.a, spec.interval.b
     best = 0.0
-    for j in range(samples):
-        x = a + (b - a) * j / (samples - 1)
+    for x in uniform_grid(a, b, ESTIMATOR_SAMPLES):
         v = abs(spec(x))
         if v > best:
             best = v

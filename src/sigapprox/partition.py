@@ -1,17 +1,19 @@
-"""Uniform partition of the left-widened interval [a - (b-a)/N, b].
+"""Uniform grids: the partition of the left-widened interval
+[a - (b-a)/N, b], and `uniform_grid`, the sampling grid of [a, b] that
+validation, the samples CSV and the bound estimators all walk.
 
-The grid has N+2 points x_k = a + (k-1)*h for k = 0..N+1 with h = (b-a)/N,
-so x_0 = a - h, x_1 = a and x_{N+1} = b.  Points come from the closed
-formula (one multiply each), not cumulative addition, so the right endpoint
-lands on b without drift.
+The partition has N+2 points x_k = a + (k-1)*h for k = 0..N+1 with
+h = (b-a)/N, so x_0 = a - h, x_1 = a and x_{N+1} = b.  Points come from the
+closed formula (one multiply each), not cumulative addition: no drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
-__all__ = ["UniformPartition", "unif_part", "select_index"]
+__all__ = ["UniformPartition", "unif_part", "select_index", "uniform_grid"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,8 @@ def unif_part(a: float, b: float, n: int) -> UniformPartition:
     if n < 1:
         raise ValueError("n must be at least 1")
     h = (b - a) / n
-    points = tuple(a + (k - 1) * h for k in range(n + 2))
+    # a + N*h can miss b by an ulp, leaving b outside the last cell
+    points = tuple(a + (k - 1) * h for k in range(n + 1)) + (b,)
     return UniformPartition(a=a, b=b, n_intervals=n, points=points)
 
 
@@ -58,3 +61,10 @@ def select_index(p: UniformPartition, x: float) -> int:
     while i < n and p.points[i + 1] <= x:
         i += 1
     return i
+
+
+def uniform_grid(a: float, b: float, n: int) -> Iterator[float]:
+    """a + (b - a)*j/(n - 1) for j = 0..n-1, n >= 2: from a to b (up to the
+    rounding of b - a), nondecreasing since every operation rounds
+    monotonically."""
+    return (a + (b - a) * j / (n - 1) for j in range(n))

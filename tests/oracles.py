@@ -5,7 +5,8 @@ enumerated by brute force, and derivatives come from nested central
 differences evaluated in high-precision arithmetic (mpmath), so agreement
 with the closed-form implementations is meaningful.  The one exception is
 `reference_G`, which defines what "bit-identical" means for the evaluator
-and so must use the library's own sigmoid.
+and so must use the library's own sigmoid.  The grid references spell the
+grid formula out rather than calling the library's generator.
 """
 
 from __future__ import annotations
@@ -92,3 +93,26 @@ def reference_G(g, x: float) -> float:
     for c, center in zip(coeffs, centers):
         acc += c * sigmoid(g.w * (x - center))
     return acc
+
+
+def reference_uniform_grid(a: float, b: float, grid_size: int) -> list[float]:
+    """The uniform sampling grid of [a, b], written out as a list."""
+    return [a + (b - a) * j / (grid_size - 1) for j in range(grid_size)]
+
+
+def reference_validation_grid(a: float, b: float, grid_size: int, points) -> list[float]:
+    """The points `validate` must visit: the uniform grid plus the partition
+    points strictly inside (a, b), built in memory, de-duplicated and sorted."""
+    xs = reference_uniform_grid(a, b, grid_size)
+    xs.extend(p for p in points if a < p < b)
+    return sorted(set(xs))
+
+
+def leftmost_sup(err: Callable[[float], float], xs) -> tuple[float, float]:
+    """(max of err over xs, the first x attaining it)."""
+    sup, argmax = -1.0, None
+    for x in xs:
+        e = err(x)
+        if e > sup:
+            sup, argmax = e, x
+    return sup, argmax

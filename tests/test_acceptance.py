@@ -28,7 +28,13 @@ from sigapprox.partition import select_index, unif_part
 from sigapprox.sigmoid import sigmoid, sigmoid_nth_derivative
 from sigapprox.stirling import factorial, stirling2
 
-from oracles import count_partitions, nested_central_derivative, richardson_diff
+from oracles import (
+    count_partitions,
+    nested_central_derivative,
+    reference_uniform_grid,
+    reference_validation_grid,
+    richardson_diff,
+)
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 WIGGLY_L = 1.0 + 1.8 * math.pi + 0.2
@@ -194,7 +200,12 @@ def test_criterion_8_export_round_trip(tmp_path):
     write_samples(g, spec, grid, csv_path)
     rows = csv_path.read_text().strip().split("\n")[1:]
     assert len(rows) == grid
+    xs = reference_uniform_grid(0.0, 1.0, grid)
+    assert [float(r.split(",")[0]) for r in rows] == xs
     max_err = max(float(r.split(",")[3]) for r in rows)
-    report = validate(g, spec, 0.05, grid, include_partition_points=False)
-    assert max_err == report.sup_error
+    assert max_err == max(abs(evaluate(g, x) - spec(x)) for x in xs)
+    # validation sees the same grid with the partition knots merged in
+    report = validate(g, spec, 0.05, grid)
+    assert report.grid_size == len(reference_validation_grid(0.0, 1.0, grid, g.partition.points))
+    assert report.sup_error >= max_err
     print("\nACCEPTANCE 8: PASS  (network document and CSV round trips)")

@@ -86,6 +86,59 @@ def test_recipe_json_mode(capsys):
     assert doc["eta"] == 0.04
 
 
+@pytest.mark.parametrize("command", ["recipe", "approximate"])
+@pytest.mark.parametrize("flag", ["--a", "--b", "--eps", "--lipschitz", "--sup", "--delta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flags_exit_2(capsys, command, flag, value):
+    values = {"--a": "0", "--b": "1", "--eps": "0.2", "--lipschitz": "1", "--sup": "1"}
+    values[flag] = value
+    argv = [command, "--fn", "x"]
+    for key, v in values.items():
+        argv += [f"{key}={v}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_small_grid_exits_2_before_building(capsys, monkeypatch, grid):
+    def no_recipe(*args, **kwargs):
+        raise AssertionError("the recipe must not be computed")
+
+    monkeypatch.setattr("sigapprox.engine.compute_recipe", no_recipe)
+    code, out, err = run(
+        capsys,
+        ["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "1e-5",
+         "--lipschitz", "1", "--sup", "1", "--grid", grid],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recipe", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1e308"],
+        ["approximate", "--fn", "x", "--a=-1e308", "--b=1e308", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1"],
+        ["recipe", "--fn", "x", "--a", "0", "--b", "5e-324", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1"],
+        ["recipe", "--fn", "x", "--a", "0", "--b", "5e-324", "--eps", "0.2"],
+    ],
+    ids=["sup-1e308", "interval-overflow", "interval-underflow",
+         "interval-underflow-estimated"],
+)
+def test_recipe_overflow_exits_3(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_determinism(capsys):
     argv = ["recipe", "--fn", WIGGLY, "--a", "0", "--b", "1", "--eps", "0.05",
             "--lipschitz", "6.8549", "--sup", "1.05"]

@@ -22,7 +22,7 @@ from sigapprox.expressions import EvalDomainError, FunctionSpec
 from sigapprox.partition import select_index
 from sigapprox.sigmoid import sigmoid
 
-from oracles import reference_G
+from oracles import leftmost_sup, reference_G, reference_validation_grid
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 WIGGLY_L = 1.0 + 1.8 * math.pi + 0.2
@@ -106,12 +106,41 @@ def test_recipe_rejects_bad_inputs():
         compute_recipe(spec, 0.0)
     with pytest.raises(RecipeError):
         compute_recipe(spec, -0.1)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(RecipeError):
+            compute_recipe(spec, eps)
 
 
 def test_recipe_cap_reports_required_n():
     spec = make_spec("x", 1.0, 1.0)
     with pytest.raises(RecipeError, match=r"N = \d+"):
         compute_recipe(spec, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "a,b,sup,match",
+    [
+        (0.0, 1.0, 1e308, "exceeds the cap"),      # 1/eta overflows
+        (-1e308, 1e308, 1.0, "exceeds the cap"),   # b - a overflows
+        (0.0, 1.0, 1e300, "exceeds the cap"),      # huge but finite N
+        (0.0, 5e-324, 1.0, "too narrow"),          # h underflows to 0
+        (0.0, 1e-320, 1.0, "too narrow"),          # w overflows
+    ],
+)
+def test_recipe_extreme_inputs_raise_recipe_error(a, b, sup, match):
+    spec = FunctionSpec.from_text("x", a, b, lipschitz=1.0, sup_bound=sup)
+    with pytest.raises(RecipeError, match=match):
+        compute_recipe(spec, 0.2)
+
+
+def test_decomposition_at_right_endpoint_n1919():
+    # N = 1919 on [0, 1]: a + N*h is 0.9999999999999999, so x = b lies in a
+    # cell only because x_{N+1} is b itself
+    spec = make_spec("sin(6*pi*x)", 6.0 * math.pi, 1.0)
+    r = manual_recipe(0.0, 1.0, 1919)
+    g = build_approximant(spec, r)
+    assert g.partition.points[-1] == 1.0
+    assert error_decomposition(g, spec, r, 1.0).index_i == 1919
 
 
 def test_recipe_modulus_override():
@@ -313,10 +342,60 @@ def test_validate_grid_flags():
     spec = make_spec("x", 1.0, 1.0)
     r = compute_recipe(spec, 0.2)
     g = build_approximant(spec, r)
-    rep = validate(g, spec, 0.2, 101, include_partition_points=False)
-    assert rep.grid_size == 101
+    rep = validate(g, spec, 0.2, 101)
+    # N = 51: the 50 knots inside (0, 1) sit near k/51, away from the grid j/100
+    assert r.n == 51
+    assert rep.grid_size == 151
+    assert rep.grid_size == len(reference_validation_grid(0.0, 1.0, 101, g.partition.points))
     with pytest.raises(ValueError):
         validate(g, spec, 0.2, 1)
+
+
+GRID_SIZES = {
+    "N+1": lambda n: n + 1,
+    "2N+1": lambda n: 2 * n + 1,
+    "cli-default": lambda n: max(10_001, 10 * n),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_SIZES))
+@pytest.mark.parametrize(
+    "text,a,b,lipschitz,sup",
+    [("sin(6*pi*x)", 0.0, 1.0, 6.0 * math.pi, 1.0), ("x", -2.0, 3.0, 1.0, 3.0)],
+)
+def test_validate_matches_reference_grid(text, a, b, lipschitz, sup, grid):
+    spec = FunctionSpec.from_text(text, a, b, lipschitz=lipschitz, sup_bound=sup)
+    r = compute_recipe(spec, 0.2)
+    g = build_approximant(spec, r)
+    size = GRID_SIZES[grid](r.n)
+    xs = reference_validation_grid(a, b, size, g.partition.points)
+    knots_inside = r.n - 1
+    if grid != "cli-default":
+        # many knots land exactly on grid points, so de-duplication matters
+        assert len(xs) < size + knots_inside
+    sup_error, argmax = leftmost_sup(lambda x: abs(evaluate(g, x) - spec(x)), xs)
+    rep = validate(g, spec, 0.2, size)
+    assert rep.grid_size == len(xs)
+    assert rep.sup_error == sup_error
+    assert rep.argmax_x == argmax
+
+
+def test_validate_single_cell_two_point_grid():
+    spec = make_spec("x^2", 2.0, 1.0)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 1, w=5.0))
+    xs = reference_validation_grid(0.0, 1.0, 2, g.partition.points)
+    assert xs == [0.0, 1.0]
+    sup_error, argmax = leftmost_sup(lambda x: abs(evaluate(g, x) - spec(x)), xs)
+    rep = validate(g, spec, 1.0, 2)
+    assert (rep.grid_size, rep.sup_error, rep.argmax_x) == (2, sup_error, argmax)
+
+
+def test_validate_reports_leftmost_tie():
+    # G == f == 0 everywhere, so every point ties and the first one wins
+    spec = make_spec("0", 1.0, 0.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.1))
+    rep = validate(g, spec, 0.1, 11)
+    assert (rep.sup_error, rep.argmax_x) == (0.0, 0.0)
 
 
 def test_surrogate_constant():

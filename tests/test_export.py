@@ -15,6 +15,8 @@ from sigapprox.export import (
     write_samples,
 )
 
+from oracles import leftmost_sup, reference_uniform_grid, reference_validation_grid
+
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
 
@@ -123,8 +125,17 @@ def test_samples_max_error_matches_validate(tmp_path):
     write_samples(g, spec, grid, path)
     lines = path.read_text().strip().split("\n")[1:]
     max_err = max(float(line.split(",")[3]) for line in lines)
-    report = validate(g, spec, 0.2, grid, include_partition_points=False)
-    assert max_err == report.sup_error
+
+    def err(x):
+        return abs(evaluate(g, x) - spec(x))
+
+    assert max_err == max(map(err, reference_uniform_grid(0.0, 1.0, grid)))
+    # validate covers the samples' grid plus the knots, so its sup is the
+    # larger one whenever a knot beats every grid point
+    report = validate(g, spec, 0.2, grid)
+    xs = reference_validation_grid(0.0, 1.0, grid, g.partition.points)
+    assert (report.sup_error, report.argmax_x) == leftmost_sup(err, xs)
+    assert report.sup_error >= max_err
 
 
 def test_samples_rejects_small_grid(tmp_path):

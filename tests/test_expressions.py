@@ -111,6 +111,13 @@ def test_interval_validation():
         FunctionSpec.from_text("x", 0, 1, lipschitz=-1.0)
 
 
+@pytest.mark.parametrize("field", ["lipschitz", "sup_bound", "modulus_override"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_function_spec_rejects_non_finite_bounds(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        FunctionSpec.from_text("x", 0, 1, **{field: value})
+
+
 # --- round trip ----------------------------------------------------------
 
 constants = st.floats(min_value=0.0, max_value=100.0, allow_nan=False).map(Const)
@@ -186,12 +193,11 @@ def test_estimator_conservative_on_analytic_corpus():
     assert estimate_lipschitz(sin_spec) >= 6 * math.pi
 
 
-def test_estimators_reject_small_sample_counts():
-    spec = FunctionSpec.from_text("x", 0, 1)
-    with pytest.raises(ValueError):
-        estimate_lipschitz(spec, samples=99)
-    with pytest.raises(ValueError):
-        estimate_sup(spec, samples=99)
+@pytest.mark.parametrize("a,b", [(0.0, 5e-324), (-1e308, 1e308)])
+def test_estimate_lipschitz_rejects_degenerate_step(a, b):
+    # the step (b - a)/10^4 underflows to 0 or overflows to inf
+    with pytest.raises(ValueError, match="step"):
+        estimate_lipschitz(FunctionSpec.from_text("x", a, b))
 
 
 def test_estimator_propagates_domain_errors():

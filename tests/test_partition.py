@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sigapprox.partition import select_index, unif_part
+from sigapprox.partition import select_index, unif_part, uniform_grid
 
 
 def linear_scan_index(points, n, x):
@@ -56,11 +56,36 @@ def test_invariants(params):
     assert p.points[0] == a - h
     assert p.points[1] == a
     tol = 2 * math.ulp(max(abs(a), abs(b), h))
-    # closed formula lands on b up to rounding in h, not exactly
-    assert abs(p.points[-1] - b) <= tol
+    assert p.points[-1] == b
     for lo, hi in zip(p.points, p.points[1:]):
         assert hi > lo
         assert abs((hi - lo) - h) <= tol
+
+
+def test_last_point_is_b_where_closed_formula_misses():
+    # a + N*h is 0.9999999999999999 here
+    assert 0.0 + 1919 * (1.0 / 1919) < 1.0
+    p = unif_part(0.0, 1.0, 1919)
+    assert p.points[-1] == 1.0
+    assert p.points[-2] < p.points[-1]
+    assert select_index(p, 1.0) == 1919
+
+
+def test_select_index_at_b_regression():
+    # a + N*h misses b here, as hypothesis found for the round trip below
+    a, b, n = 0.0, 48.60131310179116, 91
+    p = unif_part(a, b, n)
+    i = select_index(p, b)
+    assert i == n
+    assert p.points[i] <= b <= p.points[i + 1]
+
+
+def test_uniform_grid_points():
+    assert list(uniform_grid(0.0, 1.0, 5)) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert list(uniform_grid(-2.0, 3.0, 2)) == [-2.0, 3.0]
+    xs = list(uniform_grid(0.1, 0.7, 1001))
+    assert xs == [0.1 + (0.7 - 0.1) * j / 1000 for j in range(1001)]
+    assert xs == sorted(xs)
 
 
 def test_select_index_examples():
