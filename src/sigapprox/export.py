@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
+UNIT_KEYS = ("hidden_weight", "hidden_bias", "output_coefficient")
 SAMPLES_HEADER = "x,f,g,abs_err"
 
 Destination = Union[str, os.PathLike, IO[str]]
@@ -81,8 +82,10 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
 
     The partition is reconstructed from (a, b, N) via the same closed
     formula used at build time, so the rebuilt network evaluates
-    bit-identically to the original.  Unit count and shared weight are
-    checked against the document."""
+    bit-identically to the original.  The unit count is checked, and every
+    unit must hold unit 0's hidden weight w and the bias -w * x_k that
+    `to_network_document` wrote, bit for bit; a unit that fails a check
+    raises ValueError naming it."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":
@@ -93,12 +96,22 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     if len(units) != n + 1:
         raise ValueError(f"expected {n + 1} units, document has {len(units)}")
     w = float(units[0]["hidden_weight"])
-    if any(float(u["hidden_weight"]) != w for u in units):
-        raise ValueError("units do not share a single hidden weight")
     p = unif_part(float(meta["a"]), float(meta["b"]), n)
-    coeff0 = float(units[0]["output_coefficient"])
-    coeffs = tuple(float(u["output_coefficient"]) for u in units[1:])
-    return SigmoidApproximant(w=w, partition=p, coeff0=coeff0, coeffs=coeffs)
+    centers = (p.points[0],) + p.points[2:]
+    neg_w = -w
+    coeffs = []
+    for unit, center in zip(units, centers):
+        bias, want = unit["hidden_bias"], neg_w * center
+        if unit["hidden_weight"] != w:
+            raise ValueError(f"unit {len(coeffs)} has hidden_weight "
+                             f"{unit['hidden_weight']!r}, unit 0 has {w!r}")
+        # == alone would take a bias of 0.0 for -0.0
+        if bias != want or (not bias and math.copysign(1.0, bias) != math.copysign(1.0, want)):
+            raise ValueError(f"unit {len(coeffs)} has hidden_bias {bias!r}, "
+                             f"-w * x_k is {want!r}")
+        coeffs.append(unit["output_coefficient"])
+    coeff0, *rest = map(float, coeffs)
+    return SigmoidApproximant(w=w, partition=p, coeff0=coeff0, coeffs=tuple(rest))
 
 
 def _open_destination(destination: Destination):
@@ -107,11 +120,52 @@ def _open_destination(destination: Destination):
     return open(destination, "w", encoding="utf-8"), True
 
 
+def _json_value(value: Any) -> str:
+    """`value` as json.dump(..., indent=2) writes it inside a unit."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n      ")
+
+
+def _write_units(fh: IO[str], units: list[dict[str, Any]]) -> None:
+    """The units as json.dump(..., indent=2) lays them out, one write per
+    unit.  The shared weight's text is formatted again only when a unit
+    holds a different weight object."""
+    write = fh.write
+    weight, head, sep = object(), "", ""
+    for i, unit in enumerate(units):
+        if tuple(unit) != UNIT_KEYS:
+            raise ValueError(f"unit {i} has keys {list(unit)}, want {list(UNIT_KEYS)}")
+        w, bias, coeff = unit.values()
+        if w is not weight:
+            weight = w
+            head = f'\n    {{\n      "hidden_weight": {_json_value(w)},\n      "hidden_bias": '
+        write(f'{sep}{head}{_json_value(bias)},\n      "output_coefficient": '
+              f'{_json_value(coeff)}\n    }}')
+        sep = ","
+    write("\n  ]" if units else "]")
+
+
 def write_network_document(doc: dict[str, Any], destination: Destination) -> None:
+    """Write `doc` byte for byte as json.dump(doc, fh, indent=2) and a
+    newline would, streaming the units one record at a time.  Every unit
+    must hold exactly UNIT_KEYS, in that order: the first unit that does
+    not raises ValueError, and the output stops before it."""
+    if "units" not in doc:
+        raise ValueError("a network document needs units")
     fh, owned = _open_destination(destination)
     try:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        sep = "{\n"
+        for key, value in doc.items():
+            fh.write(sep)
+            sep = ",\n"
+            if key == "units":
+                fh.write('  "units": [')
+                _write_units(fh, value)
+            else:
+                # a one-member object less its braces is that member at depth 1
+                fh.write(json.dumps({key: value}, indent=2)[2:-2])
+        fh.write("\n}\n")
     finally:
         if owned:
             fh.close()

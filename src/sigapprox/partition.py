@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 __all__ = ["UniformPartition", "unif_part", "select_index", "uniform_grid"]
@@ -64,7 +65,8 @@ def select_index(p: UniformPartition, x: float) -> int:
 
 
 def uniform_grid(a: float, b: float, n: int) -> Iterator[float]:
-    """a + (b - a)*j/(n - 1) for j = 0..n-1, n >= 2: from a to b (up to the
-    rounding of b - a), nondecreasing since every operation rounds
-    monotonically."""
-    return (a + (b - a) * j / (n - 1) for j in range(n))
+    """a + (b - a)*j/(n - 1) for j = 0..n-2, then b itself, n >= 2: the
+    closed formula at j = n-1 can miss b by an ulp either way.
+    Nondecreasing: every operation rounds monotonically, and at j = n-2 the
+    formula stays below b unless n - 1 nears 1/ulp(1)."""
+    return chain((a + (b - a) * j / (n - 1) for j in range(n - 1)), (b,))

@@ -6,12 +6,15 @@ differences evaluated in high-precision arithmetic (mpmath), so agreement
 with the closed-form implementations is meaningful.  The one exception is
 `reference_G`, which defines what "bit-identical" means for the evaluator
 and so must use the library's own sigmoid.  The grid references spell the
-grid formula out rather than calling the library's generator.
+grid formula out rather than calling the library's generator, and the
+network document's layout is whatever the json module makes of it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import io
+import json
+from typing import Any, Callable, Iterator
 
 import mpmath as mp
 
@@ -96,8 +99,11 @@ def reference_G(g, x: float) -> float:
 
 
 def reference_uniform_grid(a: float, b: float, grid_size: int) -> list[float]:
-    """The uniform sampling grid of [a, b], written out as a list."""
-    return [a + (b - a) * j / (grid_size - 1) for j in range(grid_size)]
+    """The uniform sampling grid of [a, b], written out as a list: the
+    closed formula at every point but the last, which is b itself."""
+    xs = [a + (b - a) * j / (grid_size - 1) for j in range(grid_size - 1)]
+    xs.append(b)
+    return xs
 
 
 def reference_validation_grid(a: float, b: float, grid_size: int, points) -> list[float]:
@@ -116,3 +122,12 @@ def leftmost_sup(err: Callable[[float], float], xs) -> tuple[float, float]:
         if e > sup:
             sup, argmax = e, x
     return sup, argmax
+
+
+def reference_network_json(doc: dict[str, Any]) -> str:
+    """The network document as json.dump lays it out with indent=2, plus a
+    final newline: `write_network_document` must write these bytes."""
+    out = io.StringIO()
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+    return out.getvalue()

@@ -1,10 +1,11 @@
+import io
 import json
 import math
 import random
 
 import pytest
 
-from sigapprox.engine import build_approximant, compute_recipe, evaluate, validate
+from sigapprox.engine import Recipe, build_approximant, compute_recipe, evaluate, validate
 from sigapprox.expressions import FunctionSpec
 from sigapprox.export import (
     SAMPLES_HEADER,
@@ -15,7 +16,12 @@ from sigapprox.export import (
     write_samples,
 )
 
-from oracles import leftmost_sup, reference_uniform_grid, reference_validation_grid
+from oracles import (
+    leftmost_sup,
+    reference_network_json,
+    reference_uniform_grid,
+    reference_validation_grid,
+)
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
@@ -38,17 +44,21 @@ def test_constant_document_shape():
     assert doc["metadata"]["source_expression"] == "3"
 
 
-def test_identity_document_coefficients():
-    from sigapprox.engine import Recipe
-
-    spec = FunctionSpec.from_text("x", 0, 1, lipschitz=1.0, sup_bound=1.0)
+def hand_document(text, a, b, n):
+    """The document of G for f on [a, b] with N fixed by hand: w = ln 3 / h,
+    the bounds are nominal."""
+    spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
+    h = (b - a) / n
     recipe = Recipe(
         epsilon=0.2, m_f=1.0, m_sigma=1.0, eta=0.04, delta=0.04,
-        n=4, h=0.25, w=math.log(3.0) / 0.25, a=0.0, b=1.0,
-        lipschitz=1.0, n_candidates=(3.0, 4.0, 25.0),
+        n=n, h=h, w=math.log(3.0) / h, a=a, b=b,
+        lipschitz=1.0, n_candidates=(float(n), float(n), float(n)),
     )
-    g = build_approximant(spec, recipe)
-    doc = to_network_document(g, recipe, spec)
+    return to_network_document(build_approximant(spec, recipe), recipe, spec)
+
+
+def test_identity_document_coefficients():
+    doc = hand_document("x", 0.0, 1.0, 4)
     assert [u["output_coefficient"] for u in doc["units"]] == [0.0, 0.25, 0.25, 0.25, 0.25]
 
 
@@ -71,9 +81,118 @@ def test_round_trip_through_disk(tmp_path):
     rng = random.Random(11)
     for _ in range(1000):
         x = rng.uniform(0.0, 1.0)
-        a = evaluate(g, x)
-        b = evaluate(rebuilt, x)
-        assert abs(a - b) <= 2 * math.ulp(max(abs(a), abs(b), 1e-300))
+        assert evaluate(rebuilt, x).hex() == evaluate(g, x).hex()
+
+
+def wiggly_document():
+    # the paper's worked example, N = 6924
+    spec, recipe, g = pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.01)
+    assert recipe.n == 6924
+    return to_network_document(g, recipe, spec)
+
+
+def n1_document():
+    return hand_document("x^2", 0.0, 1.0, 1)
+
+
+def negative_zero_bias_document():
+    # x_2 = 0 on [-1, 1] with N = 2, so its bias is -w * 0.0 = -0.0
+    doc = hand_document("x", -1.0, 1.0, 2)
+    assert math.copysign(1.0, doc["units"][1]["hidden_bias"]) == -1.0
+    return doc
+
+
+def infinite_coefficient_document():
+    # f(a) = -1e308 and f(b) = 1e308, so f(x_2) - f(x_1) overflows
+    doc = hand_document("1e308*sin(pi*(x-0.5))", 0.0, 1.0, 1)
+    assert doc["units"][1]["output_coefficient"] == math.inf
+    return doc
+
+
+def non_ascii_document():
+    doc = n1_document()
+    doc["metadata"]["source_expression"] = "sin(2πx) · ½ — \U0001d453"
+    return doc
+
+
+DOCUMENTS = [
+    wiggly_document,
+    n1_document,
+    negative_zero_bias_document,
+    infinite_coefficient_document,
+    non_ascii_document,
+]
+
+
+@pytest.mark.parametrize("make_doc", DOCUMENTS, ids=lambda f: f.__name__)
+def test_writer_matches_json_layout(make_doc, tmp_path):
+    doc = make_doc()
+    want = reference_network_json(doc)
+    out = io.StringIO()
+    write_network_document(doc, out)
+    assert out.getvalue() == want
+    path = tmp_path / "network.json"
+    write_network_document(doc, path)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_writer_matches_json_on_edited_units():
+    doc = hand_document("x", 0.0, 1.0, 3)
+    units = doc["units"]
+    units[0]["output_coefficient"] = -math.inf
+    units[1]["output_coefficient"] = math.nan
+    units[1]["hidden_bias"] = 3
+    units[2]["hidden_weight"] = 2.5
+    out = io.StringIO()
+    write_network_document(doc, out)
+    assert out.getvalue() == reference_network_json(doc)
+    assert "-Infinity" in out.getvalue() and "NaN" in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "unit",
+    [
+        {"hidden_weight": 1.0, "hidden_bias": 0.0, "output_coefficient": 0.0, "extra": 1},
+        {"hidden_bias": 0.0, "hidden_weight": 1.0, "output_coefficient": 0.0},
+        {"hidden_weight": 1.0, "hidden_bias": 0.0},
+    ],
+    ids=["extra-key", "reordered", "missing-key"],
+)
+def test_writer_rejects_other_unit_layouts(unit):
+    doc = n1_document()
+    doc["units"][1] = unit
+    with pytest.raises(ValueError, match="unit 1"):
+        write_network_document(doc, io.StringIO())
+
+
+def test_loader_rejects_tampered_biases():
+    spec, recipe, g = pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.2)
+    doc = to_network_document(g, recipe, spec)
+    approximant_from_document(doc)
+    k = len(doc["units"]) // 2
+    bias = doc["units"][k]["hidden_bias"]
+    for tampered in (math.nextafter(bias, math.inf), bias * (1 + 1e-9)):
+        units = [dict(u) for u in doc["units"]]
+        units[k]["hidden_bias"] = tampered
+        with pytest.raises(ValueError, match=f"unit {k} has hidden_bias"):
+            approximant_from_document(dict(doc, units=units))
+
+
+def test_loader_rejects_positive_zero_for_negative_zero_bias():
+    doc = negative_zero_bias_document()
+    approximant_from_document(doc)
+    units = [dict(u) for u in doc["units"]]
+    units[1]["hidden_bias"] = 0.0
+    with pytest.raises(ValueError, match="unit 1 has hidden_bias"):
+        approximant_from_document(dict(doc, units=units))
+
+
+def test_loader_rejects_a_second_weight():
+    doc = n1_document()
+    units = [dict(u) for u in doc["units"]]
+    units[1]["hidden_weight"] = math.nextafter(units[1]["hidden_weight"], 0.0)
+    with pytest.raises(ValueError, match="unit 1 has hidden_weight"):
+        approximant_from_document(dict(doc, units=units))
 
 
 def test_document_validation_errors():

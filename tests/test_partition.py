@@ -88,6 +88,23 @@ def test_uniform_grid_points():
     assert xs == sorted(xs)
 
 
+def test_uniform_grid_ends_at_b():
+    # the closed formula at j = n-1 gives 0.8999999999999999 here
+    assert 0.2 + (0.9 - 0.2) * 7 / 7 < 0.9
+    assert list(uniform_grid(0.2, 0.9, 8))[-1] == 0.9
+    # and 1.9000000000000001 here, outside [a, b]
+    assert 0.1 + (1.9 - 0.1) * 10000 / 10000 > 1.9
+    xs = list(uniform_grid(0.1, 1.9, 10_001))
+    assert xs[-1] == 1.9
+    assert max(xs) == 1.9
+    assert xs == sorted(xs)
+
+
+def test_uniform_grid_unchanged_on_unit_interval():
+    for n in (2, 3, 10_001, 20_001, 69_240):
+        assert list(uniform_grid(0.0, 1.0, n)) == [0.0 + (1.0 - 0.0) * j / (n - 1) for j in range(n)]
+
+
 def test_select_index_examples():
     p = unif_part(0.0, 1.0, 4)
     assert select_index(p, 0.6) == 3
