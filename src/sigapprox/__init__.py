@@ -21,7 +21,6 @@ from .engine import (
     compute_recipe,
     error_decomposition,
     evaluate,
-    exact_recipe_n,
     surrogate_L,
     validate,
 )

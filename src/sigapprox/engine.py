@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from heapq import merge
@@ -43,7 +44,7 @@ __all__ = [
     "SurrogateNotApplicableError",
     "compute_eta",
     "compute_recipe",
-    "exact_recipe_n",
+    "unit_centers",
     "build_approximant",
     "evaluate",
     "validate",
@@ -79,9 +80,10 @@ class SurrogateNotApplicableError(ValueError):
 class Recipe:
     """Certified parameter bundle for one approximation run.
 
-    `n_candidates` records the three raw operands of the floor in the N
-    formula so that N can be re-derived independently (e.g. with exact
-    rational arithmetic).
+    `n_candidates` holds the three operands of the floor in the N formula,
+    3, 2*(b-a)/delta and 1/eta, as exact rationals over the input doubles,
+    so floor(max(n_candidates)) + 1 == n holds exactly.  eta, delta, h and
+    w are the doubles computed from the same inputs.
     """
 
     epsilon: float
@@ -95,7 +97,7 @@ class Recipe:
     a: float
     b: float
     lipschitz: Optional[float]
-    n_candidates: tuple[float, float, float]
+    n_candidates: tuple[Fraction, Fraction, Fraction]
     m_f_source: str = SUPPLIED
     lipschitz_source: str = SUPPLIED
 
@@ -129,6 +131,13 @@ def compute_eta(epsilon: float, m_f: float, m_sigma: float) -> float:
     return epsilon / (m_f + 2.0 * m_sigma + 2.0)
 
 
+def _exact(name: str, value: float) -> Fraction:
+    """`value` as an exact rational; an estimated bound can be inf or nan."""
+    if not math.isfinite(value):
+        raise RecipeError(f"{name} = {value!r} is not finite")
+    return Fraction(value)
+
+
 def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     """Derive (eta, delta, N, h, w) for the target function and error.
 
@@ -136,7 +145,8 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     modulus_override replaces delta = eta/L entirely.  N above
     DEFAULT_N_CAP is rejected with the required value in the message: the
     requested epsilon is too small for desk-scale validation.  So is an
-    interval too narrow for h and w to be representable.
+    interval too narrow or too wide for h and w to be representable, and
+    an estimated bound that is not finite.
     """
     if not 0.0 < epsilon < math.inf:
         raise RecipeError("epsilon must be positive and finite")
@@ -148,10 +158,14 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
         m_f, m_f_source = estimate_sup(spec), ESTIMATED
 
     eta = compute_eta(epsilon, m_f, M_SIGMA)
+    # N is floored exactly over the input doubles: any N > max(...) meets
+    # the proof's hypothesis, and a rounded candidate can miss an integer
+    q_eta = Fraction(epsilon) / (_exact("M_f", m_f) + 2 * Fraction(M_SIGMA) + 2)
 
     lipschitz: Optional[float]
     if spec.modulus_override is not None:
         delta = float(spec.modulus_override)
+        q_delta = Fraction(delta)
         lipschitz, lipschitz_source = None, OVERRIDE
     else:
         if spec.lipschitz is not None:
@@ -161,28 +175,22 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
         if lipschitz <= 0.0:
             raise RecipeError("Lipschitz constant must be positive")
         delta = eta / lipschitz
+        q_delta = q_eta / _exact("L", lipschitz)
 
-    # eta or delta can underflow to 0 and b - a can overflow; such
-    # operands read as infinite, i.e. as an N beyond any cap
-    candidates = (
-        3.0,
-        2.0 * (b - a) / delta if delta > 0.0 else math.inf,
-        1.0 / eta if eta > 0.0 else math.inf,
-    )
-    top = max(candidates)
-    if not top < DEFAULT_N_CAP:
-        required = int(math.floor(top)) + 1 if math.isfinite(top) else top
+    candidates = (Fraction(3), 2 * (Fraction(b) - Fraction(a)) / q_delta, 1 / q_eta)
+    n = math.floor(max(candidates)) + 1
+    if n > DEFAULT_N_CAP:
         raise RecipeError(
-            f"required N = {required} exceeds the cap {DEFAULT_N_CAP}; "
+            f"required N = {Decimal(n):.3e} exceeds the cap {DEFAULT_N_CAP}; "
             "epsilon is too small for this configuration"
         )
-    n = int(math.floor(top)) + 1
     h = (b - a) / n
     w = math.log(n - 1.0) / h if h > 0.0 else math.inf
-    if not math.isfinite(w):
+    if not 0.0 < w < math.inf:
+        width = "wide" if h == math.inf else "narrow"
         raise RecipeError(
-            f"[{a!r}, {b!r}] is too narrow for N = {n}: "
-            f"h = {h!r} gives a non-finite slope"
+            f"[{a!r}, {b!r}] is too {width} for N = {n}: "
+            f"h = {h!r} gives the slope w = {w!r}"
         )
     return Recipe(
         epsilon=float(epsilon),
@@ -202,31 +210,11 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     )
 
 
-def exact_recipe_n(
-    a: float,
-    b: float,
-    epsilon: float,
-    m_f: float,
-    m_sigma: float,
-    lipschitz: Optional[float] = None,
-    modulus_override: Optional[float] = None,
-) -> int:
-    """Re-derive N with exact rational arithmetic over the given doubles.
-
-    Cross-checks the double-precision floor in compute_recipe: the floor is
-    the only place where rounding could move N across an integer boundary.
-    """
-    eps = Fraction(epsilon)
-    eta = eps / (Fraction(m_f) + 2 * Fraction(m_sigma) + 2)
-    if modulus_override is not None:
-        delta = Fraction(modulus_override)
-    else:
-        if lipschitz is None:
-            raise RecipeError("need lipschitz or modulus_override")
-        delta = eta / Fraction(lipschitz)
-    width = Fraction(b) - Fraction(a)
-    best = max(Fraction(3), 2 * width / delta, 1 / eta)
-    return math.floor(best) + 1
+def unit_centers(partition: UniformPartition) -> tuple[float, ...]:
+    """Centers of G's units in output order: x_0 for the f(a) unit, then
+    x_2..x_{N+1}.  x_1 = a carries no unit of its own."""
+    pts = partition.points
+    return (pts[0],) + pts[2:]
 
 
 @dataclass(frozen=True)
@@ -249,12 +237,13 @@ class SigmoidApproximant:
         return self.coeffs[k - 2]
 
     @cached_property
-    def _centers(self) -> tuple[float, ...]:
-        pts = self.partition.points
-        return (pts[0],) + pts[2:]
+    def centers(self) -> tuple[float, ...]:
+        """Unit centers in output order; see `unit_centers`."""
+        return unit_centers(self.partition)
 
     @cached_property
-    def _unit_coeffs(self) -> tuple[float, ...]:
+    def unit_coeffs(self) -> tuple[float, ...]:
+        """Output weights in the order of `centers`: f(a), then coeffs."""
         return (self.coeff0,) + self.coeffs
 
     @cached_property
@@ -263,7 +252,7 @@ class SigmoidApproximant:
         # naive ascending accumulation when every skipped sigmoid is 1.0
         out = []
         acc = 0.0
-        for c in self._unit_coeffs:
+        for c in self.unit_coeffs:
             acc += c
             out.append(acc)
         return tuple(out)
@@ -321,8 +310,8 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     w = g.w
-    centers = g._centers
-    coeffs = g._unit_coeffs
+    centers = g.centers
+    coeffs = g.unit_coeffs
     cmax = g._cmax
     ulp = math.ulp
     lo = bisect_left(centers, x - POS_CUTOFF / w)
@@ -378,7 +367,7 @@ def validate(
     )
 
 
-def surrogate_L(g: SigmoidApproximant, spec: FunctionSpec, i: int, x: float) -> float:
+def surrogate_L(g: SigmoidApproximant, i: int, x: float) -> float:
     """The proof's local surrogate for x in [x_i, x_{i+1}], i >= 3:
 
         L_i(x) = f(a) + sum_{k=2}^{i-1} (f(x_k) - f(x_{k-1}))
@@ -417,7 +406,7 @@ def error_decomposition(
     SurrogateNotApplicableError and the diagnostic is skipped.
     """
     i = select_index(g.partition, x)
-    li = surrogate_L(g, spec, i, x)
+    li = surrogate_L(g, i, x)
     gx = evaluate(g, x)
     fx = spec(x)
     return DecompositionReport(

@@ -6,15 +6,19 @@ differences evaluated in high-precision arithmetic (mpmath), so agreement
 with the closed-form implementations is meaningful.  The one exception is
 `reference_G`, which defines what "bit-identical" means for the evaluator
 and so must use the library's own sigmoid.  The grid references spell the
-grid formula out rather than calling the library's generator, and the
-network document's layout is whatever the json module makes of it.
+grid formula out rather than calling the library's generator, the
+network document's layout is whatever the json module makes of it, and N
+is the paper's formula in rational arithmetic, written out apart from the
+recipe code.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Iterator
+import math
+from fractions import Fraction
+from typing import Any, Callable, Iterator, Optional
 
 import mpmath as mp
 
@@ -131,3 +135,24 @@ def reference_network_json(doc: dict[str, Any]) -> str:
     json.dump(doc, out, indent=2)
     out.write("\n")
     return out.getvalue()
+
+
+def exact_recipe_n(
+    a: float,
+    b: float,
+    epsilon: float,
+    m_f: float,
+    m_sigma: float,
+    lipschitz: Optional[float] = None,
+    modulus_override: Optional[float] = None,
+) -> int:
+    """N = floor(max(3, 2(b - a)/delta, 1/eta)) + 1 in exact rational
+    arithmetic over the given numbers, with eta = eps/(M_f + 2 M_sigma + 2)
+    and delta = modulus_override or eta/L."""
+    eta = Fraction(epsilon) / (Fraction(m_f) + 2 * Fraction(m_sigma) + 2)
+    if modulus_override is not None:
+        delta = Fraction(modulus_override)
+    else:
+        delta = eta / Fraction(lipschitz)
+    best = max(Fraction(3), 2 * (Fraction(b) - Fraction(a)) / delta, 1 / eta)
+    return math.floor(best) + 1

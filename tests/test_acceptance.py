@@ -12,7 +12,6 @@ from sigapprox.engine import (
     compute_recipe,
     error_decomposition,
     evaluate,
-    exact_recipe_n,
     validate,
 )
 from sigapprox.expressions import FunctionSpec
@@ -30,6 +29,7 @@ from sigapprox.stirling import factorial, stirling2
 
 from oracles import (
     count_partitions,
+    exact_recipe_n,
     nested_central_derivative,
     reference_uniform_grid,
     reference_validation_grid,

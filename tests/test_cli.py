@@ -32,7 +32,9 @@ def test_recipe_identity(capsys):
     )
     assert code == 0
     values = parse_lines(out)
-    assert values["N"] == "51"
+    # the double 0.2 is just above 1/5, so 2(b-a)/delta is just below 50
+    # and the exact floor gives N = 50
+    assert values["N"] == "50"
     assert values["M_f_source"] == "supplied"
     assert float(values["eta"]) == 0.04
 
@@ -82,7 +84,8 @@ def test_recipe_json_mode(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["N"] == 51
+    # exact floor: 2(b-a)/delta is just below 50 (see test_recipe_identity)
+    assert doc["N"] == 50
     assert doc["eta"] == 0.04
 
 
@@ -127,9 +130,18 @@ def test_small_grid_exits_2_before_building(capsys, monkeypatch, grid):
         ["recipe", "--fn", "x", "--a", "0", "--b", "5e-324", "--eps", "0.2",
          "--lipschitz", "1", "--sup", "1"],
         ["recipe", "--fn", "x", "--a", "0", "--b", "5e-324", "--eps", "0.2"],
+        # estimated bounds near 1e308 ask for N of about 2.5e617
+        ["recipe", "--fn", "1e308*x", "--a", "0", "--b", "1", "--eps", "0.1"],
+        # differences of +-1e308 overflow, so the estimated L is inf
+        ["recipe", "--fn", "1e308*sin(1000*x)", "--a", "0", "--b", "1",
+         "--eps", "0.1"],
+        # b - a overflows while delta keeps N small
+        ["recipe", "--fn", "x", "--a=-1e308", "--b=1e308", "--eps", "0.2",
+         "--sup", "1", "--delta", "1e308"],
     ],
     ids=["sup-1e308", "interval-overflow", "interval-underflow",
-         "interval-underflow-estimated"],
+         "interval-underflow-estimated", "estimated-huge-n",
+         "estimated-L-inf", "interval-too-wide"],
 )
 def test_recipe_overflow_exits_3(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -137,6 +149,7 @@ def test_recipe_overflow_exits_3(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert len(err) < 200
 
 
 def test_determinism(capsys):
@@ -194,10 +207,17 @@ def test_derivative_values(capsys):
     assert code == 0 and parse_lines(out)["value"] == "0.5"
     code, out, _ = run(capsys, ["derivative", "--n", "2", "--x", "0"])
     assert code == 0 and float(parse_lines(out)["value"]) == 0.0
-    code, out, _ = run(capsys, ["derivative", "--n", "1", "--x", "0", "--check"])
-    values = parse_lines(out)
-    assert values["value"] == "0.25"
-    assert float(values["rel_error"]) < 1e-9
+    code, out, _ = run(capsys, ["derivative", "--n", "1", "--x", "0"])
+    assert code == 0 and parse_lines(out)["value"] == "0.25"
+
+
+def test_derivative_rejects_check_flag(capsys):
+    # the finite-difference cross-check left the CLI; test_sigmoid.py checks
+    # the derivatives against mpmath and against differencing
+    code, out, err = run(capsys, ["derivative", "--n", "1", "--x", "0", "--check"])
+    assert code == 2
+    assert out == ""
+    assert "--check" in err
 
 
 def test_derivative_order_cap(capsys):

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sigapprox.engine import (
+    DEFAULT_N_CAP,
     Recipe,
     RecipeError,
     SigmoidApproximant,
@@ -14,7 +16,6 @@ from sigapprox.engine import (
     compute_recipe,
     error_decomposition,
     evaluate,
-    exact_recipe_n,
     surrogate_L,
     validate,
 )
@@ -22,7 +23,12 @@ from sigapprox.expressions import EvalDomainError, FunctionSpec
 from sigapprox.partition import select_index
 from sigapprox.sigmoid import sigmoid
 
-from oracles import leftmost_sup, reference_G, reference_validation_grid
+from oracles import (
+    exact_recipe_n,
+    leftmost_sup,
+    reference_G,
+    reference_validation_grid,
+)
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 WIGGLY_L = 1.0 + 1.8 * math.pi + 0.2
@@ -77,9 +83,11 @@ def test_recipe_identity_hand_arithmetic():
     r = compute_recipe(spec, 0.2)
     assert r.eta == pytest.approx(0.04, rel=1e-15)
     assert r.delta == pytest.approx(0.04, rel=1e-15)
-    assert r.n == 51
-    assert r.h == pytest.approx(1.0 / 51.0, rel=1e-15)
-    assert r.w == pytest.approx(51.0 * math.log(50.0), rel=1e-12)
+    # the double 0.2 is just above 1/5, so eta and delta are just above
+    # 1/25, 2(b-a)/delta is just below 50 and the exact floor gives 50
+    assert r.n == 50
+    assert r.h == 1.0 / 50.0
+    assert r.w == pytest.approx(50.0 * math.log(49.0), rel=1e-12)
     assert r.m_f_source == "supplied"
     assert r.lipschitz_source == "supplied"
 
@@ -96,8 +104,93 @@ def test_recipe_wiggly():
 def test_recipe_records_candidates():
     spec = make_spec("x", 1.0, 1.0)
     r = compute_recipe(spec, 0.2)
-    assert r.n_candidates[0] == 3.0
-    assert r.n == int(math.floor(max(r.n_candidates))) + 1
+    eta = Fraction(0.2) / 5
+    assert r.n_candidates == (3, 2 / eta, 1 / eta)
+    assert all(type(c) is Fraction for c in r.n_candidates)
+    assert r.n == math.floor(max(r.n_candidates)) + 1
+    assert max(r.n_candidates) < 50 == r.n
+
+
+def test_recipe_floor_is_exact_at_integer_boundary():
+    # the candidate 2(b-a)/delta is 62307 + 7.5e-13, which rounds to
+    # 62307.0 in doubles; flooring that gave N = 62307, not above it
+    spec = FunctionSpec.from_text(
+        "x", -0.5624576209573853, 0.4375423790426147,
+        lipschitz=1.0, sup_bound=0.2200099103722164,
+    )
+    r = compute_recipe(spec, 0.00013545861332987357)
+    assert r.n == 62308
+    assert 62307 < max(r.n_candidates) < 62307 + Fraction(1, 10**12)
+
+
+def _nudge(x, ulps):
+    toward = math.copysign(math.inf, ulps)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@given(
+    a=st.floats(min_value=-1e3, max_value=1e3),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    m_f=st.floats(min_value=0.0, max_value=1e3),
+    lipschitz=st.floats(min_value=1e-3, max_value=1e3),
+    k=st.integers(min_value=4, max_value=10**6),
+    ulps=st.integers(min_value=-4, max_value=4),
+    binding=st.sampled_from(["L", "override", "eta"]),
+)
+def test_recipe_n_is_exact_floor_near_integers(a, width, m_f, lipschitz, k, ulps, binding):
+    # inputs a few ulps from making the binding candidate the integer k
+    b = a + width
+    assume(a < b)
+    delta = None
+    if binding == "L":
+        eps = _nudge(2.0 * (b - a) * lipschitz * (m_f + 4.0) / k, ulps)
+    elif binding == "override":
+        eps = 2.0 * (m_f + 4.0) / k
+        delta = _nudge(2.0 * (b - a) / k, ulps)
+        lipschitz = None
+    else:
+        eps = _nudge((m_f + 4.0) / k, ulps)
+        lipschitz = min(lipschitz, 0.25 / (b - a))
+    want = exact_recipe_n(a, b, eps, m_f, 1.0, lipschitz=lipschitz, modulus_override=delta)
+    assume(want <= DEFAULT_N_CAP)
+    spec = FunctionSpec.from_text(
+        "x", a, b, lipschitz=lipschitz, sup_bound=m_f, modulus_override=delta
+    )
+    r = compute_recipe(spec, eps)
+    assert r.n == want
+    eta = Fraction(eps) / (Fraction(m_f) + 4)
+    q_delta = Fraction(delta) if delta is not None else eta / Fraction(lipschitz)
+    exact = (Fraction(3), 2 * (Fraction(b) - Fraction(a)) / q_delta, 1 / eta)
+    assert r.n_candidates == exact
+    assert all(r.n > c for c in exact)
+    assert r.n - 1 <= max(exact)
+
+
+@pytest.mark.parametrize("estimator", ["estimate_sup", "estimate_lipschitz"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_recipe_non_finite_estimate_raises(monkeypatch, estimator, value):
+    monkeypatch.setattr(f"sigapprox.engine.{estimator}", lambda spec: value)
+    spec = FunctionSpec.from_text("x", 0, 1)
+    with pytest.raises(RecipeError, match="is not finite"):
+        compute_recipe(spec, 0.1)
+
+
+def test_recipe_too_wide_interval_raises():
+    # delta = 1e308 keeps N small while b - a overflows to inf, so h = inf
+    spec = FunctionSpec.from_text("x", -1e308, 1e308, sup_bound=1.0,
+                                  modulus_override=1e308)
+    with pytest.raises(RecipeError, match="too wide"):
+        compute_recipe(spec, 0.2)
+
+
+def test_recipe_cap_message_stays_short_for_huge_n():
+    # 2(b-a)/delta is about 1e309: N is printed to four digits, not 310
+    spec = make_spec("x", 1.0, 1e308)
+    with pytest.raises(RecipeError, match=r"N = 1\.000e\+309 exceeds") as info:
+        compute_recipe(spec, 0.2)
+    assert len(str(info.value)) < 100
 
 
 def test_recipe_rejects_bad_inputs():
@@ -149,7 +242,8 @@ def test_recipe_modulus_override():
     assert r.delta == 0.04
     assert r.lipschitz is None
     assert r.lipschitz_source == "override"
-    assert r.n == 51
+    # the double 0.04 is just above 1/25, so 2(b-a)/delta is just below 50
+    assert r.n == 50
 
 
 def test_exact_recipe_n_matches_double_path():
@@ -340,7 +434,9 @@ def test_validate_identity_passes():
 
 def test_validate_grid_flags():
     spec = make_spec("x", 1.0, 1.0)
-    r = compute_recipe(spec, 0.2)
+    # eps 0.198 gives N = floor(10/0.198) + 1 = 51; at eps 0.2 the exact
+    # floor gives N = 50, whose knots 2j/100 would all land on the grid
+    r = compute_recipe(spec, 0.198)
     g = build_approximant(spec, r)
     rep = validate(g, spec, 0.2, 101)
     # N = 51: the 50 knots inside (0, 1) sit near k/51, away from the grid j/100
@@ -404,7 +500,7 @@ def test_surrogate_constant():
     pts = g.partition.points
     for i in (3, 5, 10):
         x = 0.5 * (pts[i] + pts[i + 1])
-        assert surrogate_L(g, spec, i, x) == pytest.approx(3.0, rel=1e-15)
+        assert surrogate_L(g, i, x) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_surrogate_identity_at_knot():
@@ -416,8 +512,8 @@ def test_surrogate_identity_at_knot():
     x = pts[5]
     # x4 + h*sigma(0) + h*sigma(-w*h); the last term is negligible at huge w
     expected = pts[4] + h * 0.5 + h * sigmoid(-r.w * h)
-    assert surrogate_L(g, spec, 5, x) == pytest.approx(expected, rel=1e-12)
-    assert surrogate_L(g, spec, 5, x) == pytest.approx(pts[4] + h / 2.0, rel=1e-9)
+    assert surrogate_L(g, 5, x) == pytest.approx(expected, rel=1e-12)
+    assert surrogate_L(g, 5, x) == pytest.approx(pts[4] + h / 2.0, rel=1e-9)
 
 
 def test_surrogate_direct_substitution_i3():
@@ -433,7 +529,7 @@ def test_surrogate_direct_substitution_i3():
         + (f(pts[3]) - f(pts[2])) * 0.5
         + (f(pts[4]) - f(pts[3])) * sigmoid(-g.w * g.partition.h)
     )
-    assert surrogate_L(g, spec, 3, x) == pytest.approx(expected, rel=1e-13)
+    assert surrogate_L(g, 3, x) == pytest.approx(expected, rel=1e-13)
 
 
 def test_surrogate_matches_reference_fold():
@@ -449,16 +545,16 @@ def test_surrogate_matches_reference_fold():
             acc += g.coeff(k)
         acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
         acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
-        assert _bits(surrogate_L(g, spec, i, x)) == _bits(acc)
+        assert _bits(surrogate_L(g, i, x)) == _bits(acc)
 
 
 def test_surrogate_rejects_small_index():
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 10))
     with pytest.raises(SurrogateNotApplicableError):
-        surrogate_L(g, spec, 2, 0.15)
+        surrogate_L(g, 2, 0.15)
     with pytest.raises(ValueError):
-        surrogate_L(g, spec, 11, 0.95)
+        surrogate_L(g, 11, 0.95)
 
 
 def test_decomposition_zero_function():
