@@ -12,7 +12,8 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator, Optional
 
 from . import engine, export
 from .expressions import ExprError, EvalDomainError, FunctionSpec
@@ -104,19 +105,31 @@ def cmd_recipe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Report an OSError raised in the block as path being unwritable."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_approximate(args: argparse.Namespace) -> int:
     if args.grid is not None and args.grid < 2:
         raise UsageError("--grid must be at least 2")
     spec = _build_spec(args)
-    recipe = engine.compute_recipe(spec, args.eps)
-    g = engine.build_approximant(spec, recipe)
-    grid = args.grid if args.grid is not None else max(10_001, 10 * recipe.n)
-    report = engine.validate(g, spec, args.eps, grid)
-    if args.out_network:
-        doc = export.to_network_document(g, recipe, spec)
-        export.write_network_document(doc, args.out_network)
-    if args.out_samples:
-        export.write_samples(g, spec, grid, args.out_samples)
+    # validation's walk writes the samples: the file opens before f is
+    # evaluated and takes its place only if every step below succeeds
+    samples = export.samples_file(args.out_samples) if args.out_samples else nullcontext()
+    with _writing(args.out_samples), samples as row:
+        recipe = engine.compute_recipe(spec, args.eps)
+        g = engine.build_approximant(spec, recipe)
+        grid = args.grid if args.grid is not None else max(10_001, 10 * recipe.n)
+        report = engine.validate(g, spec, args.eps, grid, row)
+        if args.out_network:
+            doc = export.to_network_document(g, recipe, spec)
+            with _writing(args.out_network):
+                export.write_network_document(doc, args.out_network)
     lines = _recipe_lines(recipe) + [
         ("grid_size", report.grid_size),
         ("sup_error", report.sup_error),

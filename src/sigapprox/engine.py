@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from heapq import merge
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
@@ -326,38 +325,62 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     return acc
 
 
+def _with_knots(grid: Iterator[float], knots: Iterator[float]) -> Iterator[tuple[float, bool]]:
+    """Merge two ascending streams into (x, True) for each grid point and
+    (x, False) for each knot; a knot equal to a grid point comes after it.
+    The grid ends at b and every knot lies below b, so no knot is left
+    over."""
+    knot = next(knots, math.inf)
+    for x in grid:
+        while knot < x:
+            yield knot, False
+            knot = next(knots, math.inf)
+        yield x, True
+
+
 def validate(
-    g: SigmoidApproximant, spec: FunctionSpec, epsilon: float, grid_size: int
+    g: SigmoidApproximant,
+    spec: FunctionSpec,
+    epsilon: float,
+    grid_size: int,
+    row: Optional[Callable[[float, float, float], object]] = None,
 ) -> ErrorReport:
     """Measure sup |G - f| on a uniform grid of [a, b] with the partition
     knots inside (a, b) merged in, so the estimate cannot alias the mesh.
     Pass iff the measured sup is below epsilon.  Ties on the sup go to the
-    leftmost point.  The grid is streamed: memory is O(1) in grid_size."""
+    leftmost point.  The grid is streamed: memory is O(1) in grid_size.
+
+    f and G are evaluated once per distinct point.  If `row` is given, it
+    is called as row(x, f(x), G(x)) for each of the grid_size uniform-grid
+    points in ascending order, a repeated point included (with the values
+    already computed) and the knots left out; the report is the same with
+    or without it."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     a, b = spec.interval.a, spec.interval.b
     knots = (p for p in g.partition.points if a < p < b)
-    # Both streams ascend (rounding is monotone) and merge is stable, so
-    # skipping repeats visits the same points in the same order as
-    # sorted(set(grid + knots)).
     sup = -1.0
     argmax = a
     count = 0
-    prev = math.nan
-    for x in merge(uniform_grid(a, b, grid_size), knots):
-        if x == prev:
-            continue
-        prev = x
-        count += 1
-        fx = spec(x)
-        if not math.isfinite(fx):
-            raise ValueError(f"f is non-finite at grid point x={x!r}")
-        err = abs(evaluate(g, x) - fx)
-        if err > sup:
-            sup = err
-            argmax = x
+    prev = fx = gx = math.nan
+    for x, on_grid in _with_knots(uniform_grid(a, b, grid_size), knots):
+        # equal points arrive together, so skipping repeats visits the
+        # points of sorted(set(grid + knots)) in that order
+        if x != prev:
+            prev = x
+            count += 1
+            fx = spec(x)
+            if not math.isfinite(fx):
+                raise ValueError(f"f is non-finite at grid point x={x!r}")
+            gx = evaluate(g, x)
+            err = abs(gx - fx)
+            if err > sup:
+                sup = err
+                argmax = x
+        if on_grid and row is not None:
+            row(x, fx, gx)
     return ErrorReport(
         grid_size=count,
         sup_error=sup,

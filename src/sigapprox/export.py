@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import IO, Any, Union
+from contextlib import contextmanager, suppress
+from typing import IO, Any, Callable, Iterator, Union
 
 from .engine import Recipe, SigmoidApproximant, evaluate, unit_centers
 from .expressions import FunctionSpec, format_ast
@@ -24,6 +25,7 @@ __all__ = [
     "write_network_document",
     "read_network_document",
     "write_samples",
+    "samples_file",
     "SAMPLES_HEADER",
 ]
 
@@ -168,6 +170,17 @@ def read_network_document(source: Union[str, os.PathLike, IO[str]]) -> dict[str,
         return json.load(fh)
 
 
+def _row_writer(fh: IO[str]) -> Callable[[float, float, float], None]:
+    """The samples CSV's one row format: row(x, f(x), G(x)) writes
+    x, f(x), G(x) and |G - f| at full round-trip precision."""
+    write = fh.write
+
+    def row(x: float, fx: float, gx: float) -> None:
+        write(f"{x!r},{fx!r},{gx!r},{abs(gx - fx)!r}\n")
+
+    return row
+
+
 def write_samples(
     g: SigmoidApproximant,
     spec: FunctionSpec,
@@ -183,13 +196,33 @@ def write_samples(
     fh, owned = _open_destination(destination)
     try:
         fh.write(SAMPLES_HEADER + "\n")
+        row = _row_writer(fh)
         for x in uniform_grid(a, b, grid_size):
             fx = spec(x)
             if not math.isfinite(fx):
                 raise ValueError(f"f is non-finite at x={x!r}")
-            gx = evaluate(g, x)
-            fh.write(f"{x!r},{fx!r},{gx!r},{abs(gx - fx)!r}\n")
+            row(x, fx, evaluate(g, x))
     finally:
         if owned:
             fh.close()
     return grid_size
+
+
+@contextmanager
+def samples_file(path: Union[str, os.PathLike]) -> Iterator[Callable[[float, float, float], None]]:
+    """A row sink for `engine.validate(..., row=)` that writes the samples
+    CSV of `write_samples`.  The rows go to a temporary file beside `path`,
+    created on entry, so an unwritable path fails before any row is
+    computed.  The file replaces `path` when the block ends normally and is
+    removed when it raises, so `path` never holds a partial CSV."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(SAMPLES_HEADER + "\n")
+            yield _row_writer(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

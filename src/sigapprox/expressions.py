@@ -208,7 +208,10 @@ class _Parser:
     def base(self) -> Node:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {val!r} is not finite", pos)
+            return Const(value)
         if kind == "ident":
             if val == "x":
                 return Var()
@@ -260,9 +263,15 @@ def evaluate_ast(node: Node, x: float) -> float:
         if node.op == "abs":
             return abs(v)
         if node.op == "sin":
-            return math.sin(v)
+            try:
+                return math.sin(v)
+            except ValueError:
+                raise EvalDomainError("sin of infinite value", node, x) from None
         if node.op == "cos":
-            return math.cos(v)
+            try:
+                return math.cos(v)
+            except ValueError:
+                raise EvalDomainError("cos of infinite value", node, x) from None
         if node.op == "exp":
             try:
                 return math.exp(v)

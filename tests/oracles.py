@@ -7,9 +7,10 @@ with the closed-form implementations is meaningful.  The one exception is
 `reference_G`, which defines what "bit-identical" means for the evaluator
 and so must use the library's own sigmoid.  The grid references spell the
 grid formula out rather than calling the library's generator, the
-network document's layout is whatever the json module makes of it, and N
+network document's layout is whatever the json module makes of it, N
 is the paper's formula in rational arithmetic, written out apart from the
-recipe code.
+recipe code, and the samples CSV is what a second, separate walk of the
+grid writes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Any, Callable, Iterator, Optional
 
 import mpmath as mp
 
+from sigapprox.engine import validate
+from sigapprox.export import write_samples
 from sigapprox.sigmoid import sigmoid
 
 
@@ -156,3 +159,13 @@ def exact_recipe_n(
         delta = eta / Fraction(lipschitz)
     best = max(Fraction(3), 2 * (Fraction(b) - Fraction(a)) / delta, 1 / eta)
     return math.floor(best) + 1
+
+
+def reference_samples_csv(g, spec, epsilon: float, grid_size: int):
+    """(report, CSV text) from two walks of the grid, as `approximate
+    --out-samples` once made them: `validate` without a row sink, then
+    `write_samples`, which evaluates f and G again at every uniform point."""
+    report = validate(g, spec, epsilon, grid_size)
+    out = io.StringIO()
+    write_samples(g, spec, grid_size, out)
+    return report, out.getvalue()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from sigapprox.cli import main
+from sigapprox.expressions import FunctionSpec
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
@@ -152,6 +153,28 @@ def test_recipe_overflow_exits_3(capsys, argv):
     assert len(err) < 200
 
 
+def test_non_finite_literal_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        ["recipe", "--fn", "1e999*x", "--a", "0", "--b", "1", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse --fn: number '1e999' is not finite at position 0\n"
+
+
+def test_sin_of_infinity_exits_3(capsys):
+    code, out, err = run(
+        capsys,
+        ["approximate", "--fn", "sin(1e300*1e300*x)", "--a", "0", "--b", "1",
+         "--eps", "0.2", "--lipschitz", "1", "--sup", "1"],
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: sin of infinite value (at x=")
+
+
 def test_determinism(capsys):
     argv = ["recipe", "--fn", WIGGLY, "--a", "0", "--b", "1", "--eps", "0.05",
             "--lipschitz", "6.8549", "--sup", "1.05"]
@@ -268,3 +291,82 @@ def test_stdout_stderr_separation():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "eps" in proc.stderr
+
+
+def approximate_argv(fn, tmp_path, *extra, eps="0.2", grid="101"):
+    return ["approximate", "--fn", fn, "--a", "0", "--b", "1", "--eps", eps,
+            "--lipschitz", "1", "--sup", "1", "--grid", grid,
+            "--out-samples", str(tmp_path / "samples.csv"), *extra]
+
+
+def test_approximate_evaluates_f_once_per_point(capsys, monkeypatch, tmp_path):
+    calls = []
+    evaluate_ast = FunctionSpec.__call__
+
+    def counted(spec, x):
+        calls.append(x)
+        return evaluate_ast(spec, x)
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    code, out, _ = run(capsys, approximate_argv(
+        WIGGLY, tmp_path, "--out-network", str(tmp_path / "net.json"), grid="2001"))
+    assert code == 0
+    values = parse_lines(out)
+    # N + 2 partition points to build G, then each distinct validation point
+    assert len(calls) == int(values["N"]) + 2 + int(values["grid_size"])
+    assert len((tmp_path / "samples.csv").read_text().splitlines()) == 2002
+
+
+def test_approximate_failed_validation_still_writes_samples(capsys, tmp_path):
+    argv = ["approximate", "--fn", "sin(40*x)", "--a", "0", "--b", "1",
+            "--eps", "0.5", "--sup", "1", "--delta", "100", "--grid", "101",
+            "--out-samples", str(tmp_path / "samples.csv")]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert parse_lines(out)["pass"] == "False"
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    assert lines[0] == "x,f,g,abs_err" and len(lines) == 102
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_approximate_exit_3_leaves_samples_path_alone(capsys, tmp_path, existing):
+    path = tmp_path / "samples.csv"
+    if existing is not None:
+        path.write_text(existing)
+    # G builds (no knot k/50 is 0.37) and validation then meets x = 0.37
+    code, out, err = run(capsys, approximate_argv("1/(x-0.37)", tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: division by zero (at x=0.37)\n"
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert path.read_text() == existing
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
+
+def test_unwritable_samples_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
+    def no_recipe(*args, **kwargs):
+        raise AssertionError("the recipe must not be computed")
+
+    monkeypatch.setattr("sigapprox.engine.compute_recipe", no_recipe)
+    path = tmp_path / "missing" / "samples.csv"
+    argv = ["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.2",
+            "--lipschitz", "1", "--sup", "1", "--out-samples", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_network_path_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "net.json"
+    code, out, err = run(capsys, approximate_argv(
+        "x", tmp_path, "--out-network", str(path)))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    # the samples CSV takes its place only when every output succeeds
+    assert list(tmp_path.iterdir()) == []

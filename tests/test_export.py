@@ -11,6 +11,7 @@ from sigapprox.export import (
     SAMPLES_HEADER,
     approximant_from_document,
     read_network_document,
+    samples_file,
     to_network_document,
     write_network_document,
     write_samples,
@@ -19,6 +20,7 @@ from sigapprox.export import (
 from oracles import (
     leftmost_sup,
     reference_network_json,
+    reference_samples_csv,
     reference_uniform_grid,
     reference_validation_grid,
 )
@@ -44,9 +46,9 @@ def test_constant_document_shape():
     assert doc["metadata"]["source_expression"] == "3"
 
 
-def hand_document(text, a, b, n):
-    """The document of G for f on [a, b] with N fixed by hand: w = ln 3 / h,
-    the bounds are nominal."""
+def hand_pipeline(text, a, b, n):
+    """G for f on [a, b] with N fixed by hand: w = ln 3 / h, the bounds are
+    nominal."""
     spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
     h = (b - a) / n
     recipe = Recipe(
@@ -54,7 +56,13 @@ def hand_document(text, a, b, n):
         n=n, h=h, w=math.log(3.0) / h, a=a, b=b,
         lipschitz=1.0, n_candidates=(float(n), float(n), float(n)),
     )
-    return to_network_document(build_approximant(spec, recipe), recipe, spec)
+    return spec, recipe, build_approximant(spec, recipe)
+
+
+def hand_document(text, a, b, n):
+    """The document of `hand_pipeline`'s G."""
+    spec, recipe, g = hand_pipeline(text, a, b, n)
+    return to_network_document(g, recipe, spec)
 
 
 def test_identity_document_coefficients():
@@ -261,3 +269,91 @@ def test_samples_rejects_small_grid(tmp_path):
     spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
     with pytest.raises(ValueError):
         write_samples(g, spec, 1, tmp_path / "s.csv")
+
+
+# the f of each benchmark workload at a larger eps, so N stays small
+DEEP = " + ".join(f"sin({9 * k / 100:.2f}*x + {5 * k / 1000:.3f})/{k}" for k in range(1, 17))
+FUSED_CASES = {
+    # (f, a, b, L, sup_bound, eps, grid, N or None, validation grid_size or None)
+    "wiggly": (WIGGLY, 0.0, 1.0, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.2, 501, None, None),
+    "deep-estimated": (DEEP, 0.0, 1.0, None, None, 0.2, 301, None, None),
+    "large-n": ("sin(2*pi*x) + 0.5*x", 0.0, 1.0, 2 * math.pi + 0.5, 1.5, 0.05, 401, None, None),
+    # 46 of the 49 knots k/50 land on a grid point j/100
+    "knots-on-grid": ("x", 0.0, 1.0, 1.0, 1.0, 0.2, 101, 50, 104),
+    # 1001 uniform points but only a few distinct doubles in [1, 1 + 1e-14]
+    "repeated-points": ("x", 1.0, 1.00000000000001, 1.0, 1.0, 0.2, 1001, None, 46),
+    "grid-2": (WIGGLY, 0.0, 1.0, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.2, 2, None, None),
+}
+
+
+def fused_samples(g, spec, epsilon, grid_size, path):
+    """The CLI's single walk: validate, with its rows going to samples_file."""
+    with samples_file(path) as row:
+        report = validate(g, spec, epsilon, grid_size, row)
+    return report, path.read_text(encoding="utf-8")
+
+
+def check_fused_walk(g, spec, epsilon, grid_size, tmp_path):
+    path = tmp_path / "samples.csv"
+    report, text = fused_samples(g, spec, epsilon, grid_size, path)
+    assert (report, text) == reference_samples_csv(g, spec, epsilon, grid_size)
+    assert report == validate(g, spec, epsilon, grid_size)
+    a, b = spec.interval.a, spec.interval.b
+    xs = reference_validation_grid(a, b, grid_size, g.partition.points)
+    sup = leftmost_sup(lambda x: abs(evaluate(g, x) - spec(x)), xs)
+    assert (report.grid_size, report.sup_error, report.argmax_x) == (len(xs), *sup)
+    assert text.count("\n") == grid_size + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
+    return report
+
+
+@pytest.mark.parametrize("case", FUSED_CASES, ids=list(FUSED_CASES))
+def test_validation_rows_match_two_walks(case, tmp_path):
+    text, a, b, lipschitz, sup, eps, grid, n, grid_size = FUSED_CASES[case]
+    spec = FunctionSpec.from_text(text, a, b, lipschitz=lipschitz, sup_bound=sup)
+    g = build_approximant(spec, compute_recipe(spec, eps))
+    report = check_fused_walk(g, spec, eps, grid, tmp_path)
+    if n is not None:
+        assert g.partition.n_intervals == n
+    if grid_size is not None:
+        assert report.grid_size == grid_size
+
+
+@pytest.mark.parametrize("grid", [2, 7])
+def test_validation_rows_single_cell(grid, tmp_path):
+    spec, recipe, g = hand_pipeline("x^2", 0.0, 1.0, 1)
+    check_fused_walk(g, spec, 1.0, grid, tmp_path)
+
+
+def test_validation_rows_reuse_values_at_repeated_points():
+    spec = FunctionSpec.from_text("x", 1.0, 1.00000000000001, lipschitz=1.0, sup_bound=1.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.2))
+    calls, rows = [], []
+
+    class Counted(FunctionSpec):
+        def __call__(self, x):
+            calls.append(x)
+            return super().__call__(x)
+
+    counted = Counted(spec.ast, spec.interval, spec.lipschitz, spec.sup_bound)
+    report = validate(g, counted, 0.2, 1001, lambda *r: rows.append(r))
+    assert len(calls) == report.grid_size == 46
+    assert [r[0] for r in rows] == reference_uniform_grid(1.0, 1.00000000000001, 1001)
+
+
+def test_samples_file_removes_its_temporary_file_on_error(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        with samples_file(path) as row:
+            row(0.0, 1.0, 1.0)
+            raise RuntimeError("validation stopped")
+    assert path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+
+
+def test_samples_file_unwritable_directory_raises_on_entry(tmp_path):
+    sink = samples_file(tmp_path / "missing" / "samples.csv")
+    with pytest.raises(FileNotFoundError):
+        sink.__enter__()
+    assert list(tmp_path.iterdir()) == []

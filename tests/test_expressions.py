@@ -62,6 +62,19 @@ def test_lex_error():
     assert exc.value.position == 4
 
 
+@pytest.mark.parametrize(("text", "position"), [("1e999*x", 0), ("x + 2E+400", 4)])
+def test_non_finite_literal_is_a_syntax_error(text, position):
+    # float() would read the literal as inf
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert "not finite" in str(exc.value)
+
+
+def test_largest_finite_literal_parses():
+    assert parse("1.7976931348623157e308") == Const(1.7976931348623157e308)
+
+
 def test_unary_minus_binds_looser_than_pow():
     assert parse("-x^2") == Unary("neg", Binary("pow", Var(), Const(2.0)))
 
@@ -102,6 +115,16 @@ def test_eval_domain_errors():
         evaluate_ast(parse("sqrt(x)"), -4.0)
     with pytest.raises(EvalDomainError):
         evaluate_ast(parse("x^(-1)"), 0.0)
+
+
+@pytest.mark.parametrize("op", ["sin", "cos"])
+def test_trig_of_infinity_is_a_domain_error(op):
+    ast = parse(f"{op}(1e300*1e300*x)")
+    with pytest.raises(EvalDomainError) as exc:
+        evaluate_ast(ast, -0.5)
+    assert exc.value.node == ast
+    assert exc.value.x == -0.5
+    assert op in str(exc.value)
 
 
 def test_interval_validation():
