@@ -42,6 +42,7 @@ from .export import (
     approximant_from_document,
     read_network_document,
     to_network_document,
+    write_network,
     write_network_document,
     write_samples,
 )

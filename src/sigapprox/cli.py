@@ -127,9 +127,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         grid = args.grid if args.grid is not None else max(10_001, 10 * recipe.n)
         report = engine.validate(g, spec, args.eps, grid, row)
         if args.out_network:
-            doc = export.to_network_document(g, recipe, spec)
             with _writing(args.out_network):
-                export.write_network_document(doc, args.out_network)
+                export.write_network(g, recipe, spec, args.out_network)
     lines = _recipe_lines(recipe) + [
         ("grid_size", report.grid_size),
         ("sup_error", report.sup_error),

@@ -23,11 +23,13 @@ local surrogate L_i that pretends all far sigmoids are saturated.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterator, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
@@ -220,12 +222,20 @@ def unit_centers(partition: UniformPartition) -> tuple[float, ...]:
 class SigmoidApproximant:
     """The network G: shared slope w, centers from the widened partition,
     output weights = forward differences of f (coeffs[j] belongs to
-    k = j + 2), plus f(a) on the unit centered at x_0."""
+    k = j + 2), plus f(a) on the unit centered at x_0.
+
+    `built_from` is (spec, f(x_k) for k = 0..N+1) as `build_approximant`
+    computed them, so `validate` against that same spec need not evaluate
+    f at the knots again; a G from anywhere else has None.  It takes no
+    part in repr, == or hash."""
 
     w: float
     partition: UniformPartition
     coeff0: float
     coeffs: tuple[float, ...] = field(repr=False)
+    built_from: Optional[tuple[FunctionSpec, array]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def unit_count(self) -> int:
@@ -268,15 +278,13 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     if (a, b) != (recipe.a, recipe.b):
         raise RecipeError("recipe interval does not match the function spec")
     p = unif_part(a, b, recipe.n)
-    values = []
-    for x in p.points:
-        v = spec(x)
-        if not math.isfinite(v):
-            raise RecipeError(f"f is non-finite at partition point x={x!r}")
-        values.append(v)
+    # doubles in an array take 8 bytes each, a tuple of floats 32
+    values = array("d", map(spec, p.points))
     coeff0 = values[1]
     coeffs = tuple(values[k] - values[k - 1] for k in range(2, recipe.n + 2))
-    return SigmoidApproximant(w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs)
+    return SigmoidApproximant(
+        w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs, built_from=(spec, values)
+    )
 
 
 def evaluate(g: SigmoidApproximant, x: float) -> float:
@@ -325,17 +333,19 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     return acc
 
 
-def _with_knots(grid: Iterator[float], knots: Iterator[float]) -> Iterator[tuple[float, bool]]:
-    """Merge two ascending streams into (x, True) for each grid point and
-    (x, False) for each knot; a knot equal to a grid point comes after it.
-    The grid ends at b and every knot lies below b, so no knot is left
-    over."""
-    knot = next(knots, math.inf)
+def _with_knots(
+    grid: Iterator[float], knots: Iterator[tuple[float, Optional[float]]]
+) -> Iterator[tuple[float, bool, Optional[float]]]:
+    """Merge the ascending grid and the ascending (x, f(x) or None) knots
+    into (x, True, None) for each grid point and (x, False, f(x) or None)
+    for each knot; a knot equal to a grid point comes after it.  The grid
+    ends at b and every knot lies below b, so no knot is left over."""
+    knot, known = next(knots, (math.inf, None))
     for x in grid:
         while knot < x:
-            yield knot, False
-            knot = next(knots, math.inf)
-        yield x, True
+            yield knot, False, known
+            knot, known = next(knots, (math.inf, None))
+        yield x, True, None
 
 
 def validate(
@@ -350,30 +360,33 @@ def validate(
     Pass iff the measured sup is below epsilon.  Ties on the sup go to the
     leftmost point.  The grid is streamed: memory is O(1) in grid_size.
 
-    f and G are evaluated once per distinct point.  If `row` is given, it
-    is called as row(x, f(x), G(x)) for each of the grid_size uniform-grid
-    points in ascending order, a repeated point included (with the values
-    already computed) and the knots left out; the report is the same with
-    or without it."""
+    f and G are evaluated once per distinct point, except that a knot
+    takes f from the build when `spec` is the very object G was built from
+    (see `SigmoidApproximant.built_from`); f is then evaluated only at the
+    distinct uniform-grid points.  If `row` is given, it is called as
+    row(x, f(x), G(x)) for each of the grid_size uniform-grid points in
+    ascending order, a repeated point included (with the values already
+    computed) and the knots left out; the report is the same with or
+    without it."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     a, b = spec.interval.a, spec.interval.b
-    knots = (p for p in g.partition.points if a < p < b)
+    built = g.built_from
+    values = built[1] if built is not None and built[0] is spec else repeat(None)
+    knots = ((p, v) for p, v in zip(g.partition.points, values) if a < p < b)
     sup = -1.0
     argmax = a
     count = 0
     prev = fx = gx = math.nan
-    for x, on_grid in _with_knots(uniform_grid(a, b, grid_size), knots):
+    for x, on_grid, known in _with_knots(uniform_grid(a, b, grid_size), knots):
         # equal points arrive together, so skipping repeats visits the
         # points of sorted(set(grid + knots)) in that order
         if x != prev:
             prev = x
             count += 1
-            fx = spec(x)
-            if not math.isfinite(fx):
-                raise ValueError(f"f is non-finite at grid point x={x!r}")
+            fx = spec(x) if known is None else known
             gx = evaluate(g, x)
             err = abs(gx - fx)
             if err > sup:

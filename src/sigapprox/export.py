@@ -12,7 +12,7 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from typing import IO, Any, Callable, Iterator, Union
+from typing import IO, Any, Callable, Iterable, Iterator, Union
 
 from .engine import Recipe, SigmoidApproximant, evaluate, unit_centers
 from .expressions import FunctionSpec, format_ast
@@ -21,6 +21,7 @@ from .partition import unif_part, uniform_grid
 __all__ = [
     "FORMAT_VERSION",
     "to_network_document",
+    "write_network",
     "approximant_from_document",
     "write_network_document",
     "read_network_document",
@@ -36,17 +37,18 @@ SAMPLES_HEADER = "x,f,g,abs_err"
 Destination = Union[str, os.PathLike, IO[str]]
 
 
-def to_network_document(
-    g: SigmoidApproximant, recipe: Recipe, spec: FunctionSpec
-) -> dict[str, Any]:
-    """Flat JSON-able description of the network: the x_0 unit first, then
-    k = 2..N+1 ascending.  hidden_bias is stored as -w * x_k exactly as
-    computed here; readers must not re-derive it."""
+def _units(g: SigmoidApproximant) -> Iterator[dict[str, Any]]:
+    """G's units in document order: the x_0 unit first, then k = 2..N+1
+    ascending.  hidden_bias is -w * x_k exactly as computed here; readers
+    must not re-derive it."""
     w = g.w
-    units = [
-        {"hidden_weight": w, "hidden_bias": -w * center, "output_coefficient": coeff}
-        for center, coeff in zip(g.centers, g.unit_coeffs)
-    ]
+    for center, coeff in zip(g.centers, g.unit_coeffs):
+        yield {"hidden_weight": w, "hidden_bias": -w * center, "output_coefficient": coeff}
+
+
+def _document(
+    recipe: Recipe, spec: FunctionSpec, units: Iterable[dict[str, Any]]
+) -> dict[str, Any]:
     source = spec.text if spec.text is not None else format_ast(spec.ast)
     return {
         "format_version": FORMAT_VERSION,
@@ -67,30 +69,53 @@ def to_network_document(
     }
 
 
+def to_network_document(
+    g: SigmoidApproximant, recipe: Recipe, spec: FunctionSpec
+) -> dict[str, Any]:
+    """Flat JSON-able description of the network, one record per unit in
+    the order of `_units`, and the recipe as metadata."""
+    return _document(recipe, spec, list(_units(g)))
+
+
+def write_network(
+    g: SigmoidApproximant, recipe: Recipe, spec: FunctionSpec, destination: Destination
+) -> None:
+    """Write the network document of G straight from G: the same bytes as
+    write_network_document(to_network_document(g, recipe, spec), ...),
+    without holding the unit records."""
+    write_network_document(_document(recipe, spec, _units(g)), destination)
+
+
 def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     """Rebuild the approximant from a network document.
 
     The partition is reconstructed from (a, b, N) via the same closed
     formula used at build time, so the rebuilt network evaluates
-    bit-identically to the original.  The unit count is checked, and every
-    unit must hold unit 0's hidden weight w and the bias -w * x_k that
-    `to_network_document` wrote, bit for bit; a unit that fails a check
-    raises ValueError naming it."""
+    bit-identically to the original.  N must be an int and the unit count
+    must be N + 1.  Every unit must hold unit 0's finite hidden weight w,
+    the bias -w * x_k that `to_network_document` wrote, bit for bit, and a
+    finite output coefficient; a unit that fails a check raises ValueError
+    naming it."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
     meta = doc["metadata"]
     units = doc["units"]
-    n = int(meta["N"])
+    n = meta["N"]
+    if type(n) is not int:
+        raise ValueError(f"N must be an integer, got {n!r}")
     if len(units) != n + 1:
         raise ValueError(f"expected {n + 1} units, document has {len(units)}")
     w = float(units[0]["hidden_weight"])
+    if not math.isfinite(w):
+        raise ValueError(f"unit 0 has hidden_weight {w!r}, which is not finite")
     p = unif_part(float(meta["a"]), float(meta["b"]), n)
     # bound to a name so the tuple lives until return: freeing it when the
     # loop ends raised peak RSS by 0.7 MB on the large-n workload (N ~ 1e5)
     centers = unit_centers(p)
     neg_w = -w
+    isfinite = math.isfinite
     coeffs = []
     for unit, center in zip(units, centers):
         bias, want = unit["hidden_bias"], neg_w * center
@@ -101,8 +126,12 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
         if bias != want or (not bias and math.copysign(1.0, bias) != math.copysign(1.0, want)):
             raise ValueError(f"unit {len(coeffs)} has hidden_bias {bias!r}, "
                              f"-w * x_k is {want!r}")
-        coeffs.append(unit["output_coefficient"])
-    coeff0, *rest = map(float, coeffs)
+        coeff = float(unit["output_coefficient"])
+        if not isfinite(coeff):
+            raise ValueError(f"unit {len(coeffs)} has output_coefficient {coeff!r}, "
+                             "which is not finite")
+        coeffs.append(coeff)
+    coeff0, *rest = coeffs
     return SigmoidApproximant(w=w, partition=p, coeff0=coeff0, coeffs=tuple(rest))
 
 
@@ -119,7 +148,7 @@ def _json_value(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
-def _write_units(fh: IO[str], units: list[dict[str, Any]]) -> None:
+def _write_units(fh: IO[str], units: Iterable[dict[str, Any]]) -> None:
     """The units as json.dump(..., indent=2) lays them out, one write per
     unit.  The shared weight's text is formatted again only when a unit
     holds a different weight object."""
@@ -135,7 +164,7 @@ def _write_units(fh: IO[str], units: list[dict[str, Any]]) -> None:
         write(f'{sep}{head}{_json_value(bias)},\n      "output_coefficient": '
               f'{_json_value(coeff)}\n    }}')
         sep = ","
-    write("\n  ]" if units else "]")
+    write("\n  ]" if sep else "]")
 
 
 def write_network_document(doc: dict[str, Any], destination: Destination) -> None:
@@ -199,8 +228,6 @@ def write_samples(
         row = _row_writer(fh)
         for x in uniform_grid(a, b, grid_size):
             fx = spec(x)
-            if not math.isfinite(fx):
-                raise ValueError(f"f is non-finite at x={x!r}")
             row(x, fx, evaluate(g, x))
     finally:
         if owned:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .partition import uniform_grid
 
@@ -249,7 +249,10 @@ def parse(text: str) -> Node:
 
 def evaluate_ast(node: Node, x: float) -> float:
     """Evaluate with standard real semantics.  Leaving the real domain
-    raises EvalDomainError rather than returning a non-finite number."""
+    (division by zero, ln or sqrt outside its domain, exp or '^'
+    overflowing, sin or cos of infinity) raises EvalDomainError.  Other
+    arithmetic can overflow to inf or nan here; `FunctionSpec` checks the
+    result."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Pi):
@@ -309,6 +312,17 @@ def evaluate_ast(node: Node, x: float) -> float:
             return out
         raise AssertionError(f"unknown binary op {node.op!r}")
     raise AssertionError(f"unknown node {node!r}")
+
+
+def _post_order(node: Node) -> Iterator[Node]:
+    """The nodes in the order `evaluate_ast` finishes them: operands left
+    to right, then the node itself."""
+    if isinstance(node, Unary):
+        yield from _post_order(node.operand)
+    elif isinstance(node, Binary):
+        yield from _post_order(node.left)
+        yield from _post_order(node.right)
+    yield node
 
 
 _OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
@@ -397,7 +411,18 @@ class FunctionSpec:
         )
 
     def __call__(self, x: float) -> float:
-        return evaluate_ast(self.ast, x)
+        """f(x) by `evaluate_ast`.  A result that is not finite raises
+        EvalDomainError("overflow ...") carrying the first node, in
+        evaluation order, whose value is not finite.  Only the result is
+        checked: a finite result reached through an infinite intermediate,
+        such as 1/(1e300*x*1e300) = 0.0 at x = 1, is returned as it is."""
+        value = evaluate_ast(self.ast, x)
+        if not math.isfinite(value):
+            node = next(
+                n for n in _post_order(self.ast) if not math.isfinite(evaluate_ast(n, x))
+            )
+            raise EvalDomainError(f"overflow in {format_ast(node)}", node, x)
+        return value
 
 
 # Deliberate over-approximation factors: the construction only needs upper

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -6,7 +7,11 @@ import sys
 import pytest
 
 from sigapprox.cli import main
+from sigapprox.engine import build_approximant, compute_recipe
+from sigapprox.export import to_network_document, write_network_document
 from sigapprox.expressions import FunctionSpec
+
+from oracles import reference_uniform_grid
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
@@ -175,6 +180,15 @@ def test_sin_of_infinity_exits_3(capsys):
     assert err.startswith("error: sin of infinite value (at x=")
 
 
+def test_overflowing_f_exits_3_naming_node_and_x(capsys):
+    # the sup estimator's second grid point, 1e8/999, squares past 1e308/1e300
+    code, out, err = run(
+        capsys, ["recipe", "--fn", "1e300*x^2", "--a", "0", "--b", "1e8", "--eps", "0.2"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: overflow in (1e+300 * (x ^ 2.0)) (at x=100100.1001001001)\n"
+
+
 def test_determinism(capsys):
     argv = ["recipe", "--fn", WIGGLY, "--a", "0", "--b", "1", "--eps", "0.05",
             "--lipschitz", "6.8549", "--sup", "1.05"]
@@ -312,9 +326,29 @@ def test_approximate_evaluates_f_once_per_point(capsys, monkeypatch, tmp_path):
         WIGGLY, tmp_path, "--out-network", str(tmp_path / "net.json"), grid="2001"))
     assert code == 0
     values = parse_lines(out)
-    # N + 2 partition points to build G, then each distinct validation point
-    assert len(calls) == int(values["N"]) + 2 + int(values["grid_size"])
+    # N + 2 partition points to build G, then each distinct uniform-grid
+    # point: validation takes the knots' f values from the build
+    distinct = len(set(reference_uniform_grid(0.0, 1.0, 2001)))
+    assert len(calls) == int(values["N"]) + 2 + distinct == 2053
+    assert int(values["grid_size"]) == 2004
     assert len((tmp_path / "samples.csv").read_text().splitlines()) == 2002
+
+
+def test_approximate_writes_the_network_straight_from_g(capsys, monkeypatch, tmp_path):
+    spec = FunctionSpec.from_text(WIGGLY, 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    recipe = compute_recipe(spec, 0.2)
+    want = io.StringIO()
+    write_network_document(to_network_document(build_approximant(spec, recipe), recipe, spec), want)
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("the CLI must not build the unit records")
+
+    monkeypatch.setattr("sigapprox.export.to_network_document", no_records)
+    path = tmp_path / "net.json"
+    code, out, _ = run(capsys, approximate_argv(WIGGLY, tmp_path, "--out-network", str(path)))
+    assert code == 0
+    assert int(parse_lines(out)["N"]) == recipe.n
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_approximate_failed_validation_still_writes_samples(capsys, tmp_path):

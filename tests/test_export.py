@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,7 +6,14 @@ import random
 
 import pytest
 
-from sigapprox.engine import Recipe, build_approximant, compute_recipe, evaluate, validate
+from sigapprox.engine import (
+    ErrorReport,
+    Recipe,
+    build_approximant,
+    compute_recipe,
+    evaluate,
+    validate,
+)
 from sigapprox.expressions import FunctionSpec
 from sigapprox.export import (
     SAMPLES_HEADER,
@@ -13,6 +21,7 @@ from sigapprox.export import (
     read_network_document,
     samples_file,
     to_network_document,
+    write_network,
     write_network_document,
     write_samples,
 )
@@ -144,6 +153,36 @@ def test_writer_matches_json_layout(make_doc, tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.01),
+        lambda: hand_pipeline("x^2", 0.0, 1.0, 1),
+        lambda: hand_pipeline("x", -1.0, 1.0, 2),
+        lambda: hand_pipeline("1e308*sin(pi*(x-0.5))", 0.0, 1.0, 1),
+    ],
+    ids=["wiggly", "n1", "negative-zero-bias", "infinite-coefficient"],
+)
+def test_write_network_matches_the_document_writer(make, tmp_path):
+    spec, recipe, g = make()
+    want = io.StringIO()
+    write_network_document(to_network_document(g, recipe, spec), want)
+    out = io.StringIO()
+    write_network(g, recipe, spec, out)
+    assert out.getvalue() == want.getvalue()
+    path = tmp_path / "network.json"
+    write_network(g, recipe, spec, path)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_writer_lays_out_empty_units_as_json_does():
+    doc = dict(n1_document(), units=[])
+    out = io.StringIO()
+    write_network_document(doc, out)
+    assert out.getvalue() == reference_network_json(doc)
+    assert '"units": [],' in out.getvalue()
+
+
 def test_writer_matches_json_on_edited_units():
     doc = hand_document("x", 0.0, 1.0, 3)
     units = doc["units"]
@@ -201,6 +240,47 @@ def test_loader_rejects_a_second_weight():
     units[1]["hidden_weight"] = math.nextafter(units[1]["hidden_weight"], 0.0)
     with pytest.raises(ValueError, match="unit 1 has hidden_weight"):
         approximant_from_document(dict(doc, units=units))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_loader_rejects_a_non_finite_coefficient(value):
+    doc = hand_document("x", 0.0, 1.0, 4)
+    approximant_from_document(doc)
+    units = [dict(u) for u in doc["units"]]
+    units[3]["output_coefficient"] = value
+    with pytest.raises(ValueError, match=f"unit 3 has output_coefficient {value!r}"):
+        approximant_from_document(dict(doc, units=units))
+
+
+def test_loader_rejects_the_overflowing_difference_build_can_make():
+    with pytest.raises(ValueError, match="unit 1 has output_coefficient inf"):
+        approximant_from_document(infinite_coefficient_document())
+
+
+def test_loader_rejects_nan_literals_in_the_json_text():
+    text = reference_network_json(hand_document("x", 0.0, 1.0, 4))
+    approximant_from_document(read_network_document(io.StringIO(text)))
+    text = text.replace('"output_coefficient": 0.25', '"output_coefficient": NaN', 1)
+    doc = read_network_document(io.StringIO(text))
+    with pytest.raises(ValueError, match="unit 1 has output_coefficient nan"):
+        approximant_from_document(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_loader_rejects_a_non_finite_weight(value):
+    doc = hand_document("x", 0.0, 1.0, 4)
+    units = [dict(u, hidden_weight=value) for u in doc["units"]]
+    with pytest.raises(ValueError, match=f"unit 0 has hidden_weight {value!r}"):
+        approximant_from_document(dict(doc, units=units))
+
+
+@pytest.mark.parametrize("n", [4.0, 4.9, True, "4", None])
+def test_loader_rejects_an_n_that_is_not_an_int(n):
+    # each of these once loaded as the document's 5-unit network (int(4.9) = 4)
+    doc = hand_document("x", 0.0, 1.0, 4)
+    doc["metadata"]["N"] = n
+    with pytest.raises(ValueError, match=f"N must be an integer, got {n!r}"):
+        approximant_from_document(doc)
 
 
 def test_document_validation_errors():
@@ -325,20 +405,99 @@ def test_validation_rows_single_cell(grid, tmp_path):
     check_fused_walk(g, spec, 1.0, grid, tmp_path)
 
 
-def test_validation_rows_reuse_values_at_repeated_points():
-    spec = FunctionSpec.from_text("x", 1.0, 1.00000000000001, lipschitz=1.0, sup_bound=1.0)
-    g = build_approximant(spec, compute_recipe(spec, 0.2))
-    calls, rows = [], []
+def counted(spec, calls):
+    """A spec like `spec` that appends each x it is evaluated at to `calls`."""
 
     class Counted(FunctionSpec):
         def __call__(self, x):
             calls.append(x)
             return super().__call__(x)
 
-    counted = Counted(spec.ast, spec.interval, spec.lipschitz, spec.sup_bound)
-    report = validate(g, counted, 0.2, 1001, lambda *r: rows.append(r))
+    return Counted(spec.ast, spec.interval, spec.lipschitz, spec.sup_bound,
+                   spec.modulus_override, spec.text)
+
+
+def test_validation_rows_reuse_values_at_repeated_points():
+    spec = FunctionSpec.from_text("x", 1.0, 1.00000000000001, lipschitz=1.0, sup_bound=1.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.2))
+    calls, rows = [], []
+    report = validate(g, counted(spec, calls), 0.2, 1001, lambda *r: rows.append(r))
     assert len(calls) == report.grid_size == 46
     assert [r[0] for r in rows] == reference_uniform_grid(1.0, 1.00000000000001, 1001)
+
+
+def check_three_networks(spec, recipe, epsilon, grid_size, calls, tmp_path):
+    """G as built from `spec` (a `counted` spec), the same G with the built
+    values dropped, and G reloaded from its document: equal networks, and
+    the same report and samples CSV bytes from each.  Only the first takes
+    f at the knots from the build."""
+    g = build_approximant(spec, recipe)
+    assert g.built_from[0] is spec
+    assert list(g.built_from[1]) == [spec(x) for x in g.partition.points]
+    dropped = dataclasses.replace(g, built_from=None)
+    out = io.StringIO()
+    write_network(g, recipe, spec, out)
+    reloaded = approximant_from_document(read_network_document(io.StringIO(out.getvalue())))
+    assert g == dropped == reloaded and hash(g) == hash(reloaded)
+    assert repr(g) == repr(reloaded) and reloaded.built_from is None
+    a, b = spec.interval.a, spec.interval.b
+    distinct = len(set(reference_uniform_grid(a, b, grid_size)))
+    path = tmp_path / "samples.csv"
+    results = []
+    for net in (g, dropped, reloaded):
+        del calls[:]
+        with samples_file(path) as row:
+            report = validate(net, spec, epsilon, grid_size, row)
+        results.append((report, path.read_bytes()))
+        # f once per distinct point; the built G knows f at the knots
+        assert len(calls) == (distinct if net is g else report.grid_size)
+    assert results[0] == results[1] == results[2]
+    assert results[0] == (validate(g, spec, epsilon, grid_size),
+                          reference_samples_csv(g, spec, epsilon, grid_size)[1].encode())
+    return results[0][0]
+
+
+@pytest.mark.parametrize("case", FUSED_CASES, ids=list(FUSED_CASES))
+def test_built_values_change_no_report_or_row(case, tmp_path):
+    text, a, b, lipschitz, sup, eps, grid, n, grid_size = FUSED_CASES[case]
+    calls = []
+    spec = counted(FunctionSpec.from_text(text, a, b, lipschitz=lipschitz, sup_bound=sup), calls)
+    report = check_three_networks(spec, compute_recipe(spec, eps), eps, grid, calls, tmp_path)
+    if grid_size is not None:
+        assert report.grid_size == grid_size
+
+
+@pytest.mark.parametrize("grid", [2, 7])
+def test_built_values_change_no_report_or_row_single_cell(grid, tmp_path):
+    spec, recipe, _ = hand_pipeline("x^2", 0.0, 1.0, 1)
+    calls = []
+    check_three_networks(counted(spec, calls), recipe, 1.0, grid, calls, tmp_path)
+
+
+def test_validate_against_another_spec_evaluates_f_at_the_knots(monkeypatch):
+    spec = FunctionSpec.from_text("x", 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.2))
+    calls = []
+    call = FunctionSpec.__call__
+
+    def counting(self, x):
+        calls.append(x)
+        return call(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counting)
+    xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
+    # x*x: G is checked against a different f, so no built value may be used
+    square = FunctionSpec.from_text("x*x", 0.0, 1.0)
+    report = validate(g, square, 0.2, 101)
+    sup, argmax = leftmost_sup(lambda x: abs(evaluate(g, x) - x * x), xs)
+    assert report == ErrorReport(len(xs), sup, argmax, 0.2, sup < 0.2)
+    assert calls == xs
+    # an equal but distinct spec evaluates f at the knots too
+    twin = FunctionSpec.from_text("x", 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    assert twin == spec and twin is not spec
+    del calls[:]
+    assert validate(g, twin, 0.2, 101) == validate(g, spec, 0.2, 101)
+    assert len(calls) == len(xs) + 101 == 205
 
 
 def test_samples_file_removes_its_temporary_file_on_error(tmp_path):

@@ -127,6 +127,32 @@ def test_trig_of_infinity_is_a_domain_error(op):
     assert op in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, x, culprit",
+    [
+        ("exp(x)*exp(x)", 400.0, "(exp(x) * exp(x))"),
+        # the product overflows first; the sum of inf and 1 only carries it
+        ("1 + 1e300*x*1e300", 1.0, "((1e+300 * x) * 1e+300)"),
+        # inf - inf is nan: the left product is the first to leave the range
+        ("exp(x)*exp(x) - exp(x)*exp(x)", 400.0, "(exp(x) * exp(x))"),
+        ("x*1e308 + x*1e308", 1.0, "((x * 1e+308) + (x * 1e+308))"),
+    ],
+)
+def test_overflowing_result_names_the_first_node_that_overflowed(text, x, culprit):
+    spec = FunctionSpec.from_text(text, 0.0, 1000.0)
+    assert not math.isfinite(evaluate_ast(spec.ast, x))
+    with pytest.raises(EvalDomainError) as exc:
+        spec(x)
+    assert format_ast(exc.value.node) == culprit
+    assert exc.value.x == x
+    assert str(exc.value) == f"overflow in {culprit} (at x={x!r})"
+
+
+def test_finite_result_through_an_infinite_intermediate_is_kept():
+    spec = FunctionSpec.from_text("1/(1e300*x*1e300)", 0.0, 1.0)
+    assert spec(1.0) == 0.0
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
