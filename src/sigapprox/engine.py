@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, islice, repeat
+from operator import sub
 from typing import Callable, Iterator, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
@@ -63,6 +64,14 @@ M_SIGMA = 1.0  # sup |sigma| of the logistic sigmoid
 # shortcuts are bit-identical to evaluating the sigmoid.
 POS_CUTOFF = 37.0
 NEG_CUTOFF = -747.0
+
+# `evaluate`'s lookahead: the bound 2*exp(-w*gap) on the ratio of
+# neighbouring sigmoids is inflated by LOOKAHEAD_SLACK to cover the
+# rounding of t, of w*gap and of exp, and it is trusted only while the
+# running sum is at least LOOKAHEAD_FLOOR * max(1, cmax), where the
+# absolute errors of underflowing sigmoids are negligible against its ulp.
+LOOKAHEAD_SLACK = 1.0 + 2.0**-20
+LOOKAHEAD_FLOOR = 2.0**-1000
 
 SUPPLIED = "supplied"
 ESTIMATED = "estimated"
@@ -259,21 +268,36 @@ class SigmoidApproximant:
     def _prefix(self) -> tuple[float, ...]:
         # prefix[u] = left-fold of unit coefficients 0..u; identical to the
         # naive ascending accumulation when every skipped sigmoid is 1.0
-        out = []
-        acc = 0.0
-        for c in self.unit_coeffs:
-            acc += c
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.unit_coeffs))
 
     @cached_property
     def _cmax(self) -> float:
         # bound on every coefficient that can sit right of x in `evaluate`
         return max(map(abs, self.coeffs), default=0.0)
 
+    @cached_property
+    def _kernel(self) -> tuple:
+        """`evaluate`'s per-network constants, read in one go: w, centers,
+        unit coefficients, prefix sums, tail = cmax*D, the window offsets
+        POS_CUTOFF/w and NEG_CUTOFF/w, cmax and the lookahead's floor.
+        D = min(1, 2*exp(-w*gap)*LOOKAHEAD_SLACK) with gap the smallest
+        difference of consecutive centers, taken from the stored doubles."""
+        w = self.w
+        centers = self.centers
+        gap = min(map(sub, islice(centers, 1, None), centers))
+        d = min(1.0, 2.0 * math.exp(-w * gap) * LOOKAHEAD_SLACK)
+        cmax = self._cmax
+        floor = LOOKAHEAD_FLOOR * max(1.0, cmax)
+        return (w, centers, self.unit_coeffs, self._prefix, cmax * d,
+                POS_CUTOFF / w, NEG_CUTOFF / w, cmax, floor)
+
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
-    """Construct G for the recipe: one f evaluation per partition point."""
+    """Construct G for the recipe: one f evaluation per partition point.
+
+    f is finite at every point, but a forward difference of two finite
+    values can overflow; that raises RecipeError naming k and x_k, since
+    a G with an infinite output weight evaluates to inf or nan."""
     a, b = spec.interval.a, spec.interval.b
     if (a, b) != (recipe.a, recipe.b):
         raise RecipeError("recipe interval does not match the function spec")
@@ -281,7 +305,13 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     # doubles in an array take 8 bytes each, a tuple of floats 32
     values = array("d", map(spec, p.points))
     coeff0 = values[1]
-    coeffs = tuple(values[k] - values[k - 1] for k in range(2, recipe.n + 2))
+    coeffs = tuple(map(sub, islice(values, 2, None), islice(values, 1, None)))
+    if not all(map(math.isfinite, coeffs)):
+        k = next(k for k, c in enumerate(coeffs, 2) if not math.isfinite(c))
+        raise RecipeError(
+            f"output weight f(x_{k}) - f(x_{k - 1}) = {coeffs[k - 2]!r} "
+            f"at x_{k} = {p.points[k]!r} is not finite"
+        )
     return SigmoidApproximant(
         w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs, built_from=(spec, values)
     )
@@ -300,36 +330,63 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
       are never visited.
     - In between, the loop leaves early once the remaining tail cannot
       change the sum.  After adding unit u with argument t = w*(x - c_u)
-      and sigmoid s_u, it stops when t < 0 and cmax * s_u < ulp(acc)/8,
-      where cmax = max|coeffs| over the forward differences (unit 0, the
-      f(a) unit, is leftmost and never in the tail).  Centers ascend, so
-      every later unit has an argument no larger than t, a sigmoid no
-      larger than s_u up to rounding, and a coefficient of modulus at most
-      cmax; the factor-2 margin between ulp/8 and ulp/4 absorbs the
-      rounding of the sigmoid and of the products.  Each later product is
-      therefore below a quarter of the float spacing on either side of acc
-      (at a power of two the spacing below is ulp/2), so acc + c*s rounds
-      back to acc, acc never changes again, and returning early gives the
-      same double as the full loop.  When acc is 0 or subnormal, ulp(acc)/8
-      is 0 or underflows, so the loop never leaves early there.
+      and sigmoid s_u, it stops when t < 0 and tail * s_u < ulp(acc)/8.
+      Here tail = cmax * D, where cmax = max|coeffs| over the forward
+      differences (unit 0, the f(a) unit, is leftmost and never in the
+      tail), D = min(1, 2*exp(-w*gap)*(1 + 2^-20)), and gap is the
+      smallest difference of consecutive centers.  With the paper's slope
+      w*h = ln(N-1), D is about 2/(N-1).
+
+    Why the stop is exact.  Centers ascend, so every later unit has a
+    coefficient of modulus at most cmax and an argument at most t - w*gap.
+    For t <= 0 the sigmoid lies between e^t/2 and e^t, so
+
+        sigma(t - d) <= e^(t-d) <= 2*e^-d * sigma(t):
+
+    the next sigmoid is at most D * s_u and each later one is no larger
+    (up to rounding).  D = 1 is plain monotonicity, which is all the rule
+    uses when w*gap < ln 2: N = 3, where w*h = ln 2, or a hand-built
+    network with a small slope.  The computed values differ from the exact
+    ones by rounding: t by at most about 747 * 2^-52 < 2e-13 absolute, so
+    the ratio of neighbouring e^t by a relative 4e-13; w*gap, exp and the
+    sigmoid by a few ulps.  The factor 1 + 2^-20 in D covers all of them,
+    so every later product |c| * s is at most tail * s_u, which is below
+    ulp(acc)/8, times 1 + a few ulps; the factor-2 margin between ulp/8 and
+    ulp/4 absorbs the rounding of the products.  Each later product is
+    therefore below a quarter of the float spacing on either side of acc
+    (at a power of two the spacing below is ulp/2), so acc + c*s rounds
+    back to acc, acc never changes again, and returning early gives the
+    same double as the full loop.
+
+    Near underflow the relative bounds do not hold: a sigmoid below 2^-1022
+    (t below about -708), D or a product that small is rounded to a
+    multiple of 2^-1074 and so carries an absolute error of up to 2^-1074
+    besides its relative one.  Carried through the argument above, these
+    add at most 2^-1071 * max(1, cmax) to a later product.  So the exit
+    branch trusts tail only while |acc| >= 2^-1000 * max(1, cmax), where
+    ulp(acc) >= 2^-1053 * max(1, cmax) and the addition is below
+    2^-18 * ulp(acc).  Below that floor it stops only when
+    cmax * s_u < ulp(acc)/8, the rule with D = 1, which needs nothing but
+    monotonicity.  The guard sits inside the exit branch, so it costs
+    nothing per unit, and since tail <= cmax the loop never visits more
+    units than the D = 1 rule would.  When acc is 0 or subnormal,
+    ulp(acc)/8 is 0 or underflows, so the loop never leaves early there.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    w = g.w
-    centers = g.centers
-    coeffs = g.unit_coeffs
-    cmax = g._cmax
+    w, centers, coeffs, prefix, tail, pos, neg, cmax, floor = g._kernel
     ulp = math.ulp
-    lo = bisect_left(centers, x - POS_CUTOFF / w)
-    hi = bisect_right(centers, x - NEG_CUTOFF / w)
-    acc = g._prefix[lo - 1] if lo > 0 else 0.0
+    lo = bisect_left(centers, x - pos)
+    hi = bisect_right(centers, x - neg)
+    acc = prefix[lo - 1] if lo > 0 else 0.0
     for u in range(lo, hi):
         t = w * (x - centers[u])
         s = sigmoid(t)
         acc += coeffs[u] * s
-        if t < 0.0 and cmax * s < ulp(acc) / 8:
-            break
+        if t < 0.0 and tail * s < ulp(acc) / 8:
+            if abs(acc) >= floor or cmax * s < ulp(acc) / 8:
+                break
     return acc
 
 
@@ -367,7 +424,11 @@ def validate(
     row(x, f(x), G(x)) for each of the grid_size uniform-grid points in
     ascending order, a repeated point included (with the values already
     computed) and the knots left out; the report is the same with or
-    without it."""
+    without it.
+
+    A G that evaluates to inf or nan fails: the first point where |G - f|
+    is not finite gives sup_error and argmax_x, and no later point
+    replaces it."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if epsilon <= 0.0:
@@ -389,7 +450,8 @@ def validate(
             fx = spec(x) if known is None else known
             gx = evaluate(g, x)
             err = abs(gx - fx)
-            if err > sup:
+            # `not <=` is also true for nan; once sup is inf or nan it stays
+            if not err <= sup and math.isfinite(sup):
                 sup = err
                 argmax = x
         if on_grid and row is not None:

@@ -11,6 +11,8 @@ integers until the final float conversion.
 from __future__ import annotations
 
 import math
+import sys
+from math import exp
 
 from .stirling import factorial, stirling_row
 
@@ -26,6 +28,8 @@ __all__ = [
 # alternating sum loses all double precision to cancellation.
 MAX_DERIVATIVE_ORDER = 30
 
+_MAX = sys.float_info.max
+
 
 def _require_finite(x: float) -> float:
     x = float(x)
@@ -39,13 +43,16 @@ def sigmoid(x: float) -> float:
 
     For x >= 0 this evaluates 1/(1 + e^-x); for x < 0 it evaluates
     e^x/(1 + e^x).  Neither branch exponentiates a large positive argument,
-    so there is no overflow anywhere.
+    so there is no overflow anywhere.  NaN and +-inf fall through both
+    range tests and raise ValueError, as in the derivatives.
     """
-    x = _require_finite(x)
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    t = math.exp(x)
-    return t / (1.0 + t)
+    x = float(x)
+    if 0.0 <= x <= _MAX:
+        return 1.0 / (1.0 + exp(-x))
+    if -_MAX <= x < 0.0:
+        t = exp(x)
+        return t / (1.0 + t)
+    raise ValueError(f"input must be finite, got {x!r}")
 
 
 def sigmoid_deriv1(x: float) -> float:

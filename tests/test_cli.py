@@ -380,6 +380,21 @@ def test_approximate_exit_3_leaves_samples_path_alone(capsys, tmp_path, existing
         assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
 
 
+def test_network_with_an_infinite_weight_exits_3(capsys, tmp_path):
+    # f is finite, but f(0.25) - f(0) = -1e308 - 1e308 overflows; G would
+    # be nan, and validation used to pass it with sup_error = -1.0
+    argv = ["approximate", "--fn", "1e308*cos(4*pi*x)", "--a", "0", "--b", "1",
+            "--eps", "2", "--sup", "1", "--delta", "1", "--grid", "11",
+            "--out-samples", str(tmp_path / "samples.csv"),
+            "--out-network", str(tmp_path / "net.json")]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: output weight f(x_2) - f(x_1) = -inf at x_2 = 0.25 "
+                   "is not finite\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_samples_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     def no_recipe(*args, **kwargs):
         raise AssertionError("the recipe must not be computed")

@@ -1,12 +1,17 @@
 import math
 import random
+from array import array
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from sigapprox import engine
 from sigapprox.engine import (
     DEFAULT_N_CAP,
+    NEG_CUTOFF,
+    POS_CUTOFF,
     Recipe,
     RecipeError,
     SigmoidApproximant,
@@ -20,7 +25,7 @@ from sigapprox.engine import (
     validate,
 )
 from sigapprox.expressions import EvalDomainError, FunctionSpec
-from sigapprox.partition import select_index
+from sigapprox.partition import select_index, unif_part
 from sigapprox.sigmoid import sigmoid
 
 from oracles import (
@@ -281,6 +286,33 @@ def test_build_rejects_non_finite_f():
         build_approximant(spec, manual_recipe(0.0, 1.0, 4))
 
 
+def test_build_rejects_an_overflowing_forward_difference():
+    # f is finite everywhere, but f(x_2) - f(x_1) = -1e308 - 1e308 is not
+    spec = FunctionSpec.from_text("1e308*cos(4*pi*x)", 0, 1, lipschitz=1.0, sup_bound=1.0)
+    with pytest.raises(RecipeError, match=r"^output weight f\(x_2\) - f\(x_1\) = -inf "
+                       r"at x_2 = 0\.25 is not finite$"):
+        build_approximant(spec, manual_recipe(0.0, 1.0, 4))
+    # the first bad k is named, not the first k
+    spec = FunctionSpec.from_text("1.3e308*cos(8*pi*x)*sqrt(abs(x))", 0, 1,
+                                  lipschitz=1.0, sup_bound=1.0)
+    with pytest.raises(RecipeError, match=r"f\(x_6\) - f\(x_5\) = -inf at x_6 = 0\.625 "):
+        build_approximant(spec, manual_recipe(0.0, 1.0, 8))
+
+
+def test_build_set_up_folds_match_the_loops_they_replace():
+    spec = make_spec("sin(2*pi*x) + 0.5*x + 1e-3*abs(x-0.3)", 2 * math.pi + 0.6, 1.6)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 20_000))
+    values = array("d", map(spec, g.partition.points))
+    coeffs = tuple(values[k] - values[k - 1] for k in range(2, 20_002))
+    assert [c.hex() for c in g.coeffs] == [c.hex() for c in coeffs]
+    prefix = []
+    acc = 0.0
+    for c in g.unit_coeffs:
+        acc += c
+        prefix.append(acc)
+    assert [v.hex() for v in g._prefix] == [v.hex() for v in prefix]
+
+
 def test_telescoping():
     for text, lipschitz, sup in SUITE:
         spec = make_spec(text, lipschitz, sup)
@@ -408,9 +440,120 @@ def test_fast_path_bit_identical():
         g = SigmoidApproximant(w=0.02 / p.h, partition=p,
                                coeff0=rng.choice((0.5, 1.0, 2.0)), coeffs=coeffs)
         cases.append((g, [rng.uniform(-0.1, 1.1) for _ in range(100)]))
+    cases += _lookahead_cases(rng)
     for g, xs in cases:
         for x in xs:
             assert _bits(evaluate(g, x)) == _bits(reference_G(g, x)), x
+
+
+def _lookahead_d(g):
+    """The lookahead factor D = tail / cmax of `evaluate`'s exit rule."""
+    return g._kernel[4] / g._cmax
+
+
+def _lookahead_cases(rng):
+    """Networks and points where the one-unit lookahead of the exit rule
+    decides: small N, the units around x_0 and x_2, next sigmoids that
+    underflow, and huge coefficients against a running sum near 0."""
+    cases = []
+    # the paper's slope at N = 3 (w*h = ln 2, D clamped to 1) and N = 4
+    # (w*h = ln 3, D just above 2/3)
+    for n, d in ((3, 1.0), (4, 2.0 / 3.0)):
+        g = build_approximant(make_spec("sin(6*pi*x) + x", 8 * math.pi, 2.0),
+                              manual_recipe(0, 1, n))
+        assert _lookahead_d(g) == pytest.approx(d, rel=1e-5)
+        cases.append((g, [rng.uniform(-1.0, 2.0) for _ in range(2000)]))
+    # left of x_0 the f(a) unit is the first with t < 0, and the next
+    # center x_2 lies 2h further right
+    g = build_approximant(make_spec("x + 3", 1.0, 4.0), manual_recipe(0, 1, 300))
+    x0, x2 = g.centers[0], g.centers[1]
+    assert x2 - x0 == pytest.approx(2 * g.partition.h)
+    cases.append((g, [rng.uniform(x0 - 40 / g.w, x2 + 2 / g.w) for _ in range(2000)]
+                  + _around(x0) + _around(x2)))
+    # w*gap near and above 745: the sigmoid after the first negative one is
+    # subnormal or underflows to 0, and D is tiny or 0
+    p = unif_part(0.0, 1.0, 12)
+    for wh in (700.0, 720.0, 740.0, 745.0, 746.0, 800.0):
+        coeffs = tuple(rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-30, 30)
+                       for _ in p.points[2:])
+        g = SigmoidApproximant(w=wh / p.h, partition=p, coeff0=1.0, coeffs=coeffs)
+        assert _lookahead_d(g) < 1e-300
+        xs = [rng.uniform(-0.2, 1.2) for _ in range(300)]
+        xs += [c + rng.uniform(-1.0, 1.0) / g.w for c in g.centers for _ in range(20)]
+        cases.append((g, xs))
+    # coefficients near 2^1000 that cancel in pairs: the running sum comes
+    # near 0 while the next products are huge, below and above the floor
+    # 2^-1000 * cmax where the exit falls back to the D = 1 rule
+    p = unif_part(0.0, 1.0, 40)
+    for wh in (math.log(39.0), 5.0, 30.0):
+        big = [2.0 ** rng.uniform(990, 1000) for _ in range(20)]
+        coeffs = []
+        for c in big:
+            coeffs += [c, -c * (1 + rng.choice((0.0, 2.0**-52, 2.0**-30)))]
+        g = SigmoidApproximant(w=wh / p.h, partition=p, coeff0=-coeffs[0] / 2,
+                               coeffs=tuple(coeffs))
+        xs = [rng.uniform(-0.2, 1.2) for _ in range(1000)]
+        xs += [c + rng.uniform(-30.0, 30.0) / g.w for c in g.centers for _ in range(25)]
+        cases.append((g, xs))
+    # huge coefficients right of x and O(1) ones left of it: the exit
+    # comes where those units' sigmoids are subnormal, with the running
+    # sum far below the floor
+    p = unif_part(0.0, 1.0, 60)
+    for wh in (0.8, 2.0, 5.0, 20.0, 100.0, 700.0):
+        split = rng.randrange(5, 55)
+        big = 2.0 ** rng.uniform(1000, 1023)
+        coeffs = tuple(rng.uniform(-1.0, 1.0) * (big if j >= split else 1.0)
+                       for j in range(60))
+        g = SigmoidApproximant(w=wh / p.h, partition=p, coeff0=1.0, coeffs=coeffs)
+        xs = [g.centers[rng.randrange(split + 1, 61)] - rng.uniform(700, 750) / g.w
+              for _ in range(300)]
+        cases.append((g, xs))
+    return cases
+
+
+def _cmax_rule_calls(g, x):
+    """(G(x), sigmoid calls) under the exit rule without the lookahead:
+    stop after a unit with t < 0 once cmax * s < ulp(acc)/8."""
+    w, centers, coeffs = g.w, g.centers, g.unit_coeffs
+    lo = bisect_left(centers, x - POS_CUTOFF / w)
+    hi = bisect_right(centers, x - NEG_CUTOFF / w)
+    acc = g._prefix[lo - 1] if lo > 0 else 0.0
+    for u in range(lo, hi):
+        t = w * (x - centers[u])
+        s = sigmoid(t)
+        acc += coeffs[u] * s
+        if t < 0.0 and g._cmax * s < math.ulp(acc) / 8:
+            return acc, u - lo + 1
+    return acc, hi - lo
+
+
+def test_lookahead_calls_fewer_sigmoids_on_the_worked_example(monkeypatch):
+    # counted the way the benchmark's probe counts: by wrapping the
+    # engine's `sigmoid` while `evaluate` runs
+    spec = make_spec(WIGGLY, WIGGLY_L, 1.05)
+    g = build_approximant(spec, compute_recipe(spec, 0.01))
+    assert g.partition.n_intervals == 6924
+    rng = random.Random(5)
+    xs = [rng.uniform(0.0, 1.0) for _ in range(4000)]
+    calls = []
+    count = [0]
+
+    def counted(t):
+        count[0] += 1
+        return sigmoid(t)
+
+    monkeypatch.setattr(engine, "sigmoid", counted)
+    for x in xs:
+        count[0] = 0
+        gx = evaluate(g, x)
+        calls.append(count[0])
+        want, old_calls = _cmax_rule_calls(g, x)
+        assert _bits(gx) == _bits(want)
+        assert count[0] <= old_calls
+    monkeypatch.undo()
+    old_mean = sum(_cmax_rule_calls(g, x)[1] for x in xs) / len(xs)
+    mean = sum(calls) / len(calls)
+    assert mean <= 8.2 < 8.8 <= old_mean
 
 
 def test_validate_zero_function():
@@ -492,6 +635,49 @@ def test_validate_reports_leftmost_tie():
     g = build_approximant(spec, compute_recipe(spec, 0.1))
     rep = validate(g, spec, 0.1, 11)
     assert (rep.sup_error, rep.argmax_x) == (0.0, 0.0)
+
+
+def _hand_network(coeffs, wh=math.log(3.0)):
+    p = unif_part(0.0, 1.0, len(coeffs))
+    return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=0.0, coeffs=tuple(coeffs))
+
+
+def test_validate_fails_a_network_that_evaluates_to_nan():
+    # +inf and -inf weights: G = inf*s - inf*s is nan at every point
+    g = _hand_network([math.inf, -math.inf, 0.25, 0.25])
+    spec = make_spec("x", 1.0, 1.0)
+    assert math.isnan(evaluate(g, 0.3))
+    rep = validate(g, spec, 0.2, 11)
+    assert rep.passed is False
+    assert math.isnan(rep.sup_error)
+    assert rep.argmax_x == 0.0
+
+
+def test_validate_keeps_the_first_infinite_error():
+    # with a steep slope G is finite left of about x = 0.56, inf up to
+    # about 0.81 (only the +inf unit is awake) and nan beyond
+    g = _hand_network([0.25, 0.25, math.inf, -math.inf], wh=1000.0)
+    spec = make_spec("x", 1.0, 1.0)
+    xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
+    errs = [abs(evaluate(g, x) - spec(x)) for x in xs]
+    first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
+    assert errs[first] == math.inf and any(map(math.isnan, errs[first:]))
+    assert max(errs[:first]) > 0.0
+    rep = validate(g, spec, 0.2, 101)
+    assert (rep.sup_error, rep.argmax_x, rep.passed) == (math.inf, xs[first], False)
+
+
+def test_validate_a_later_finite_error_does_not_replace_nan(monkeypatch):
+    # a G that is nan at one point only cannot be built from weights, so
+    # the evaluator is replaced for the walk
+    spec = make_spec("0", 1.0, 0.0)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
+    monkeypatch.setattr(
+        engine, "evaluate", lambda g, x: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
+    )
+    rep = validate(g, spec, 0.1, 5)
+    assert math.isnan(rep.sup_error)
+    assert (rep.argmax_x, rep.passed) == (0.5, False)
 
 
 def test_surrogate_constant():

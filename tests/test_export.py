@@ -9,12 +9,15 @@ import pytest
 from sigapprox.engine import (
     ErrorReport,
     Recipe,
+    RecipeError,
+    SigmoidApproximant,
     build_approximant,
     compute_recipe,
     evaluate,
     validate,
 )
 from sigapprox.expressions import FunctionSpec
+from sigapprox.partition import unif_part
 from sigapprox.export import (
     SAMPLES_HEADER,
     approximant_from_document,
@@ -119,9 +122,25 @@ def negative_zero_bias_document():
     return doc
 
 
+def infinite_coefficient_pipeline():
+    """f(a) = -1e308 and f(b) = 1e308, so f(x_2) - f(x_1) overflows.
+    `build_approximant` rejects that, so the G that carries it is put
+    together by hand, as older builds made it."""
+    text = "1e308*sin(pi*(x-0.5))"
+    spec, recipe, _ = hand_pipeline("x", 0.0, 1.0, 1)
+    spec = FunctionSpec.from_text(text, 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    with pytest.raises(RecipeError, match="x_2 = 1.0 is not finite"):
+        build_approximant(spec, recipe)
+    g = SigmoidApproximant(
+        w=recipe.w, partition=unif_part(0.0, 1.0, 1),
+        coeff0=spec(0.0), coeffs=(spec(1.0) - spec(0.0),),
+    )
+    return spec, recipe, g
+
+
 def infinite_coefficient_document():
-    # f(a) = -1e308 and f(b) = 1e308, so f(x_2) - f(x_1) overflows
-    doc = hand_document("1e308*sin(pi*(x-0.5))", 0.0, 1.0, 1)
+    spec, recipe, g = infinite_coefficient_pipeline()
+    doc = to_network_document(g, recipe, spec)
     assert doc["units"][1]["output_coefficient"] == math.inf
     return doc
 
@@ -159,7 +178,7 @@ def test_writer_matches_json_layout(make_doc, tmp_path):
         lambda: pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.01),
         lambda: hand_pipeline("x^2", 0.0, 1.0, 1),
         lambda: hand_pipeline("x", -1.0, 1.0, 2),
-        lambda: hand_pipeline("1e308*sin(pi*(x-0.5))", 0.0, 1.0, 1),
+        infinite_coefficient_pipeline,
     ],
     ids=["wiggly", "n1", "negative-zero-bias", "infinite-coefficient"],
 )

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,3 +134,46 @@ def test_order_cap():
         sigmoid_nth_derivative(MAX_DERIVATIVE_ORDER + 1, 0.5)
     with pytest.raises(ValueError):
         sigmoid_nth_derivative(-1, 0.5)
+
+
+def guarded_sigmoid(x):
+    """The sigmoid as it read with a separate finiteness helper: float(x),
+    math.isfinite, then the branch on the sign."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"input must be finite, got {x!r}")
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    t = math.exp(x)
+    return t / (1.0 + t)
+
+
+def test_bit_identical_to_the_guarded_formula():
+    tiny = 5e-324
+    edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
+             -2.2250738585072014e-308, 708.0, -708.0, 745.0, -745.0,
+             745.2, -745.2, 746.0, -746.0, sys.float_info.max, -sys.float_info.max,
+             36.7, 37.0, -37.0, 1.0, -1.0]
+    rng = random.Random(7)
+    sweep = [rng.uniform(-800.0, 800.0) for _ in range(20_000)]
+    sweep += [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1074, 1023) for _ in range(5000)]
+    for x in edges + sweep:
+        assert sigmoid(x).hex() == guarded_sigmoid(x).hex(), x
+    assert math.copysign(1.0, sigmoid(-0.0)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "x", [0, 3, -3, 800, -800, 10**300, True, False, Fraction(1, 3), Fraction(-7, 2)]
+)
+def test_non_float_inputs_are_converted(x):
+    assert sigmoid(x).hex() == sigmoid(float(x)).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_message(bad):
+    with pytest.raises(ValueError) as got:
+        sigmoid(bad)
+    assert str(got.value) == f"input must be finite, got {bad!r}"
+    with pytest.raises(ValueError) as want:
+        guarded_sigmoid(bad)
+    assert str(got.value) == str(want.value)
