@@ -16,7 +16,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, Optional
 
 from . import engine, export
-from .expressions import ExprError, EvalDomainError, FunctionSpec
+from .expressions import ExprError, FunctionSpec
 from .limits import boundary_residual, sigmoid_saturation_slope
 from .sigmoid import MAX_DERIVATIVE_ORDER, sigmoid_nth_derivative
 from .stirling import stirling2, stirling_row
@@ -40,18 +40,12 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: Any) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit(lines: list[tuple[str, Any]], as_json: bool) -> None:
     if as_json:
         print(json.dumps({k: v for k, v in lines}))
     else:
         for key, value in lines:
-            print(f"{key} = {_fmt(value)}")
+            print(f"{key} = {value}")
 
 
 def _build_spec(args: argparse.Namespace) -> FunctionSpec:
@@ -247,7 +241,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EvalDomainError, engine.RecipeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

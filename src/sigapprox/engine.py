@@ -233,6 +233,12 @@ class SigmoidApproximant:
     output weights = forward differences of f (coeffs[j] belongs to
     k = j + 2), plus f(a) on the unit centered at x_0.
 
+    Every G, built, loaded or put together by hand, has 0 < w < inf, N
+    forward differences and finite output weights; the constructor raises
+    RecipeError naming the slope, the count or the first bad unit.
+    `evaluate`'s exact early exit and the sigmoid-window cutoffs assume
+    all three.
+
     `built_from` is (spec, f(x_k) for k = 0..N+1) as `build_approximant`
     computed them, so `validate` against that same spec need not evaluate
     f at the knots again; a G from anywhere else has None.  It takes no
@@ -245,6 +251,20 @@ class SigmoidApproximant:
     built_from: Optional[tuple[FunctionSpec, array]] = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.w < math.inf:
+            raise RecipeError(f"hidden_weight {self.w!r} is not positive and finite")
+        n = self.partition.n_intervals
+        if len(self.coeffs) != n:
+            raise RecipeError(f"N = {n} needs {n} forward differences, got {len(self.coeffs)}")
+        if not (math.isfinite(self.coeff0) and all(map(math.isfinite, self.coeffs))):
+            coeffs = self.unit_coeffs
+            u = next(u for u, c in enumerate(coeffs) if not math.isfinite(c))
+            raise RecipeError(
+                f"unit {u} has output_coefficient {coeffs[u]!r} at "
+                f"x_{u + 1 if u else 0} = {self.centers[u]!r}, which is not finite"
+            )
 
     @property
     def unit_count(self) -> int:
@@ -296,8 +316,8 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     """Construct G for the recipe: one f evaluation per partition point.
 
     f is finite at every point, but a forward difference of two finite
-    values can overflow; that raises RecipeError naming k and x_k, since
-    a G with an infinite output weight evaluates to inf or nan."""
+    values can overflow; `SigmoidApproximant` then raises RecipeError
+    naming the unit, x_k and the value."""
     a, b = spec.interval.a, spec.interval.b
     if (a, b) != (recipe.a, recipe.b):
         raise RecipeError("recipe interval does not match the function spec")
@@ -306,12 +326,6 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     values = array("d", map(spec, p.points))
     coeff0 = values[1]
     coeffs = tuple(map(sub, islice(values, 2, None), islice(values, 1, None)))
-    if not all(map(math.isfinite, coeffs)):
-        k = next(k for k, c in enumerate(coeffs, 2) if not math.isfinite(c))
-        raise RecipeError(
-            f"output weight f(x_{k}) - f(x_{k - 1}) = {coeffs[k - 2]!r} "
-            f"at x_{k} = {p.points[k]!r} is not finite"
-        )
     return SigmoidApproximant(
         w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs, built_from=(spec, values)
     )

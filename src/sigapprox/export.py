@@ -91,11 +91,14 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
 
     The partition is reconstructed from (a, b, N) via the same closed
     formula used at build time, so the rebuilt network evaluates
-    bit-identically to the original.  N must be an int and the unit count
-    must be N + 1.  Every unit must hold unit 0's finite hidden weight w,
-    the bias -w * x_k that `to_network_document` wrote, bit for bit, and a
-    finite output coefficient; a unit that fails a check raises ValueError
-    naming it."""
+    bit-identically to the original.  The loader checks what only the
+    document can get wrong: N must be an int, the unit count must be
+    N + 1, and every unit must hold unit 0's hidden weight w and the bias
+    -w * x_k that `to_network_document` wrote, bit for bit; a unit that
+    fails raises ValueError naming it.  What passes still goes through
+    `SigmoidApproximant`, which refuses a slope that is not positive and
+    finite and an output coefficient that is not finite with RecipeError,
+    a ValueError."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":
@@ -107,15 +110,12 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
         raise ValueError(f"N must be an integer, got {n!r}")
     if len(units) != n + 1:
         raise ValueError(f"expected {n + 1} units, document has {len(units)}")
-    w = float(units[0]["hidden_weight"])
-    if not math.isfinite(w):
-        raise ValueError(f"unit 0 has hidden_weight {w!r}, which is not finite")
     p = unif_part(float(meta["a"]), float(meta["b"]), n)
+    w = float(units[0]["hidden_weight"])
     # bound to a name so the tuple lives until return: freeing it when the
     # loop ends raised peak RSS by 0.7 MB on the large-n workload (N ~ 1e5)
     centers = unit_centers(p)
     neg_w = -w
-    isfinite = math.isfinite
     coeffs = []
     for unit, center in zip(units, centers):
         bias, want = unit["hidden_bias"], neg_w * center
@@ -126,11 +126,7 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
         if bias != want or (not bias and math.copysign(1.0, bias) != math.copysign(1.0, want)):
             raise ValueError(f"unit {len(coeffs)} has hidden_bias {bias!r}, "
                              f"-w * x_k is {want!r}")
-        coeff = float(unit["output_coefficient"])
-        if not isfinite(coeff):
-            raise ValueError(f"unit {len(coeffs)} has output_coefficient {coeff!r}, "
-                             "which is not finite")
-        coeffs.append(coeff)
+        coeffs.append(float(unit["output_coefficient"]))
     coeff0, *rest = coeffs
     return SigmoidApproximant(w=w, partition=p, coeff0=coeff0, coeffs=tuple(rest))
 

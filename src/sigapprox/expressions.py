@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 FUNCTIONS = ("abs", "sin", "cos", "exp", "ln", "sqrt")
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 
 
 class ExprError(ValueError):
@@ -103,7 +102,7 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # one of BINARY_OPS
+    op: str  # add, sub, mul, div or pow
     left: "Node"
     right: "Node"
 
@@ -198,7 +197,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             exponent = self.factor()
-            if _contains_var(exponent):
+            if any(isinstance(n, Var) for n in _post_order(exponent)):
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression", pos
                 )
@@ -229,16 +228,6 @@ class _Parser:
             return node
         shown = val if val else "end of input"
         raise ExprSyntaxError(f"unexpected {shown!r}", pos)
-
-
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Unary):
-        return _contains_var(node.operand)
-    if isinstance(node, Binary):
-        return _contains_var(node.left) or _contains_var(node.right)
-    return False
 
 
 def parse(text: str) -> Node:
@@ -360,10 +349,6 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if self.a >= self.b:
             raise ValueError(f"need a < b, got [{self.a!r}, {self.b!r}]")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)

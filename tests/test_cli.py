@@ -390,8 +390,8 @@ def test_network_with_an_infinite_weight_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
-    assert err == ("error: output weight f(x_2) - f(x_1) = -inf at x_2 = 0.25 "
-                   "is not finite\n")
+    assert err == ("error: unit 1 has output_coefficient -inf at x_2 = 0.25, "
+                   "which is not finite\n")
     assert list(tmp_path.iterdir()) == []
 
 

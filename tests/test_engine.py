@@ -289,13 +289,13 @@ def test_build_rejects_non_finite_f():
 def test_build_rejects_an_overflowing_forward_difference():
     # f is finite everywhere, but f(x_2) - f(x_1) = -1e308 - 1e308 is not
     spec = FunctionSpec.from_text("1e308*cos(4*pi*x)", 0, 1, lipschitz=1.0, sup_bound=1.0)
-    with pytest.raises(RecipeError, match=r"^output weight f\(x_2\) - f\(x_1\) = -inf "
-                       r"at x_2 = 0\.25 is not finite$"):
+    with pytest.raises(RecipeError, match=r"^unit 1 has output_coefficient -inf "
+                       r"at x_2 = 0\.25, which is not finite$"):
         build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     # the first bad k is named, not the first k
     spec = FunctionSpec.from_text("1.3e308*cos(8*pi*x)*sqrt(abs(x))", 0, 1,
                                   lipschitz=1.0, sup_bound=1.0)
-    with pytest.raises(RecipeError, match=r"f\(x_6\) - f\(x_5\) = -inf at x_6 = 0\.625 "):
+    with pytest.raises(RecipeError, match=r"^unit 5 has output_coefficient -inf at x_6 = 0\.625, "):
         build_approximant(spec, manual_recipe(0.0, 1.0, 8))
 
 
@@ -637,29 +637,66 @@ def test_validate_reports_leftmost_tie():
     assert (rep.sup_error, rep.argmax_x) == (0.0, 0.0)
 
 
-def _hand_network(coeffs, wh=math.log(3.0)):
+def _hand_network(coeffs, wh=math.log(3.0), coeff0=0.0):
     p = unif_part(0.0, 1.0, len(coeffs))
-    return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=0.0, coeffs=tuple(coeffs))
+    return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=coeff0, coeffs=tuple(coeffs))
 
 
-def test_validate_fails_a_network_that_evaluates_to_nan():
-    # +inf and -inf weights: G = inf*s - inf*s is nan at every point
-    g = _hand_network([math.inf, -math.inf, 0.25, 0.25])
+@pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+def test_a_network_needs_a_positive_finite_slope(w):
+    p = unif_part(0.0, 1.0, 4)
+    with pytest.raises(RecipeError, match=f"^hidden_weight {w!r} is not positive and finite$"):
+        SigmoidApproximant(w=w, partition=p, coeff0=0.0, coeffs=(0.25,) * 4)
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_a_network_needs_one_weight_per_forward_difference(count):
+    p = unif_part(0.0, 1.0, 4)
+    with pytest.raises(RecipeError, match=f"^N = 4 needs 4 forward differences, got {count}$"):
+        SigmoidApproximant(w=4.0, partition=p, coeff0=0.0, coeffs=(0.25,) * count)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("unit,k,center", [(0, 0, r"-0\.25"), (2, 3, r"0\.5")])
+def test_a_network_needs_finite_output_weights(unit, k, center, value):
+    coeffs = [0.25] * 5
+    coeffs[unit] = value
+    with pytest.raises(RecipeError, match=f"^unit {unit} has output_coefficient {value!r} "
+                       f"at x_{k} = {center}, which is not finite$"):
+        _hand_network(coeffs[1:], coeff0=coeffs[0])
+
+
+def test_the_network_where_the_oracle_and_evaluate_disagreed_cannot_be_made():
+    # on it `evaluate` and `reference_G` would disagree at x = 0.3: 0.25
+    # against nan, since the oracle multiplies inf by a sigmoid of 0.0
+    with pytest.raises(RecipeError, match=r"^unit 3 has output_coefficient inf "
+                       r"at x_4 = 0\.75, which is not finite$"):
+        _hand_network([0.25, 0.25, math.inf, -math.inf], wh=1000.0)
+
+
+def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
+    # as a network with a +inf and a -inf weight would, G is nan at every
+    # point; no such network can be made, so the evaluator is replaced
     spec = make_spec("x", 1.0, 1.0)
-    assert math.isnan(evaluate(g, 0.3))
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
+    monkeypatch.setattr(engine, "evaluate", lambda g, x: math.nan)
     rep = validate(g, spec, 0.2, 11)
     assert rep.passed is False
     assert math.isnan(rep.sup_error)
     assert rep.argmax_x == 0.0
 
 
-def test_validate_keeps_the_first_infinite_error():
-    # with a steep slope G is finite left of about x = 0.56, inf up to
-    # about 0.81 (only the +inf unit is awake) and nan beyond
-    g = _hand_network([0.25, 0.25, math.inf, -math.inf], wh=1000.0)
+def test_validate_keeps_the_first_infinite_error(monkeypatch):
+    # G is finite left of x = 0.56, inf up to 0.81 and nan beyond, as when
+    # a steep network's +inf and then -inf unit wake; no such network can
+    # be made, so the evaluator is replaced
     spec = make_spec("x", 1.0, 1.0)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
+    real = engine.evaluate
+    monkeypatch.setattr(engine, "evaluate", lambda g, x: (
+        real(g, x) if x < 0.56 else math.inf if x < 0.81 else math.nan))
     xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
-    errs = [abs(evaluate(g, x) - spec(x)) for x in xs]
+    errs = [abs(engine.evaluate(g, x) - spec(x)) for x in xs]
     first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
     assert errs[first] == math.inf and any(map(math.isnan, errs[first:]))
     assert max(errs[:first]) > 0.0

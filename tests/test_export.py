@@ -10,14 +10,12 @@ from sigapprox.engine import (
     ErrorReport,
     Recipe,
     RecipeError,
-    SigmoidApproximant,
     build_approximant,
     compute_recipe,
     evaluate,
     validate,
 )
 from sigapprox.expressions import FunctionSpec
-from sigapprox.partition import unif_part
 from sigapprox.export import (
     SAMPLES_HEADER,
     approximant_from_document,
@@ -122,26 +120,18 @@ def negative_zero_bias_document():
     return doc
 
 
-def infinite_coefficient_pipeline():
-    """f(a) = -1e308 and f(b) = 1e308, so f(x_2) - f(x_1) overflows.
-    `build_approximant` rejects that, so the G that carries it is put
-    together by hand, as older builds made it."""
-    text = "1e308*sin(pi*(x-0.5))"
-    spec, recipe, _ = hand_pipeline("x", 0.0, 1.0, 1)
-    spec = FunctionSpec.from_text(text, 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
-    with pytest.raises(RecipeError, match="x_2 = 1.0 is not finite"):
-        build_approximant(spec, recipe)
-    g = SigmoidApproximant(
-        w=recipe.w, partition=unif_part(0.0, 1.0, 1),
-        coeff0=spec(0.0), coeffs=(spec(1.0) - spec(0.0),),
-    )
-    return spec, recipe, g
-
-
 def infinite_coefficient_document():
-    spec, recipe, g = infinite_coefficient_pipeline()
-    doc = to_network_document(g, recipe, spec)
-    assert doc["units"][1]["output_coefficient"] == math.inf
+    """f = 1e308*sin(pi*(x - 0.5)) on [0, 1] with N = 1: f(a) = -1e308 and
+    f(b) = 1e308, so the one forward difference overflows to inf.  No G
+    can hold that weight, so the document is written out by hand, as
+    older builds wrote it."""
+    text = "1e308*sin(pi*(x-0.5))"
+    with pytest.raises(RecipeError, match=r"^unit 1 has output_coefficient inf at x_2 = 1\.0, "):
+        hand_pipeline(text, 0.0, 1.0, 1)
+    doc = hand_document("x", 0.0, 1.0, 1)
+    doc["metadata"]["source_expression"] = text
+    doc["units"][0]["output_coefficient"] = -1e308
+    doc["units"][1]["output_coefficient"] = math.inf
     return doc
 
 
@@ -178,9 +168,8 @@ def test_writer_matches_json_layout(make_doc, tmp_path):
         lambda: pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.01),
         lambda: hand_pipeline("x^2", 0.0, 1.0, 1),
         lambda: hand_pipeline("x", -1.0, 1.0, 2),
-        infinite_coefficient_pipeline,
     ],
-    ids=["wiggly", "n1", "negative-zero-bias", "infinite-coefficient"],
+    ids=["wiggly", "n1", "negative-zero-bias"],
 )
 def test_write_network_matches_the_document_writer(make, tmp_path):
     spec, recipe, g = make()
@@ -289,8 +278,36 @@ def test_loader_rejects_nan_literals_in_the_json_text():
 def test_loader_rejects_a_non_finite_weight(value):
     doc = hand_document("x", 0.0, 1.0, 4)
     units = [dict(u, hidden_weight=value) for u in doc["units"]]
-    with pytest.raises(ValueError, match=f"unit 0 has hidden_weight {value!r}"):
+    # nan fails unit 0's own weight check (nan != nan); inf passes it, and
+    # -w * x_0 = -inf * -0.25 then differs from the bias the document holds
+    want = ("hidden_weight nan" if math.isnan(value)
+            else r"hidden_bias 1\.0986122886681098, -w \* x_k is inf$")
+    with pytest.raises(ValueError, match=f"^unit 0 has {want}"):
         approximant_from_document(dict(doc, units=units))
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0, math.inf])
+def test_loader_refuses_a_slope_that_is_not_positive_and_finite(scale):
+    # the weights and biases agree, so only the network type can refuse
+    # them.  With the slope negated `evaluate` would give 0.68 at x = 0.5
+    # where the sum over the units is 0.51; with w = 0 it divides by zero
+    spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
+    assert recipe.n == 50
+    doc = to_network_document(g, recipe, spec)
+    w = scale * g.w
+    units = [dict(u, hidden_weight=w, hidden_bias=-w * c)
+             for u, c in zip(doc["units"], g.centers)]
+    with pytest.raises(RecipeError, match=f"^hidden_weight {w!r} is not positive and finite$"):
+        approximant_from_document(dict(doc, units=units))
+
+
+@pytest.mark.parametrize("n,count", [(-1, 0), (0, 1)])
+def test_loader_rejects_an_n_below_one(n, count):
+    doc = hand_document("x", 0.0, 1.0, 4)
+    doc["metadata"]["N"] = n
+    doc["units"] = doc["units"][:count]
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        approximant_from_document(doc)
 
 
 @pytest.mark.parametrize("n", [4.0, 4.9, True, "4", None])
