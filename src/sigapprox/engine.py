@@ -23,6 +23,7 @@ local surrogate L_i that pretends all far sigmoids are saturated.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -35,7 +36,12 @@ from typing import Callable, Iterator, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
-from .sigmoid import sigmoid
+# `evaluate` and `surrogate_L` pass the sigmoid only finite arguments (see
+# `evaluate`'s docstring), so this module's name `sigmoid` is the kernel
+# without the input guard.  They call it through this module-level name:
+# wrapping `engine.sigmoid` counts the sigmoid calls per G, as the
+# benchmark's probe and the lookahead tests do.
+from .sigmoid import finite_sigmoid as sigmoid
 
 __all__ = [
     "Recipe",
@@ -53,6 +59,8 @@ __all__ = [
     "surrogate_L",
     "error_decomposition",
 ]
+
+_MAX = sys.float_info.max
 
 DEFAULT_N_CAP = 10_000_000
 M_SIGMA = 1.0  # sup |sigma| of the logistic sigmoid
@@ -252,9 +260,14 @@ class SigmoidApproximant:
         default=None, repr=False, compare=False
     )
 
+    @staticmethod
+    def check_slope(w: float) -> None:
+        """Raise RecipeError unless 0 < w < inf."""
+        if not 0.0 < w < math.inf:
+            raise RecipeError(f"hidden_weight {w!r} is not positive and finite")
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.w < math.inf:
-            raise RecipeError(f"hidden_weight {self.w!r} is not positive and finite")
+        self.check_slope(self.w)
         n = self.partition.n_intervals
         if len(self.coeffs) != n:
             raise RecipeError(f"N = {n} needs {n} forward differences, got {len(self.coeffs)}")
@@ -299,17 +312,23 @@ class SigmoidApproximant:
     def _kernel(self) -> tuple:
         """`evaluate`'s per-network constants, read in one go: w, centers,
         unit coefficients, prefix sums, tail = cmax*D, the window offsets
-        POS_CUTOFF/w and NEG_CUTOFF/w, cmax and the lookahead's floor.
+        POS_CUTOFF/w and NEG_CUTOFF/w, cmax, the lookahead's floor and the
+        range [xlo, xhi] of x that needs no check beyond being in it.
         D = min(1, 2*exp(-w*gap)*LOOKAHEAD_SLACK) with gap the smallest
-        difference of consecutive centers, taken from the stored doubles."""
+        difference of consecutive centers, taken from the stored doubles.
+        The range is [-MAX, MAX] unless the window offsets exceed MAX/4,
+        which takes w below about 1.7e-305; it is then empty, and every x
+        goes through `_check_window`."""
         w = self.w
         centers = self.centers
         gap = min(map(sub, islice(centers, 1, None), centers))
         d = min(1.0, 2.0 * math.exp(-w * gap) * LOOKAHEAD_SLACK)
         cmax = self._cmax
         floor = LOOKAHEAD_FLOOR * max(1.0, cmax)
+        neg = NEG_CUTOFF / w
+        xlo, xhi = (-_MAX, _MAX) if neg >= -_MAX / 4 else (math.inf, -math.inf)
         return (w, centers, self.unit_coeffs, self._prefix, cmax * d,
-                POS_CUTOFF / w, NEG_CUTOFF / w, cmax, floor)
+                POS_CUTOFF / w, neg, cmax, floor, xlo, xhi)
 
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
@@ -329,6 +348,17 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     return SigmoidApproximant(
         w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs, built_from=(spec, values)
     )
+
+
+def _check_window(x: float, centers: tuple[float, ...], lo: int, hi: int) -> None:
+    """Raise ValueError unless x is finite and x - c is finite for every
+    center c in `evaluate`'s window centers[lo:hi].  Centers ascend, so
+    x - c is largest at lo and smallest at hi - 1."""
+    if not -_MAX <= x <= _MAX:
+        raise ValueError("x must be finite")
+    if lo < hi and not (x - centers[lo] <= _MAX and x - centers[hi - 1] >= -_MAX):
+        raise ValueError(f"x = {x!r} is too far from the unit centers: "
+                         "x - c overflows for a unit in the sigmoid window")
 
 
 def evaluate(g: SigmoidApproximant, x: float) -> float:
@@ -385,18 +415,35 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     nothing per unit, and since tail <= cmax the loop never visits more
     units than the D = 1 rule would.  When acc is 0 or subnormal,
     ulp(acc)/8 is 0 or underflows, so the loop never leaves early there.
+
+    Why every t is finite.  The loop calls the sigmoid kernel, which has
+    no input guard, so the guard is here, once per call: x must be finite.
+    The centers are finite (`unif_part` refuses a partition that is not)
+    and 0 < w < inf (`SigmoidApproximant` refuses any other slope).  The
+    window keeps t within about [-747, 37]: a visited center c lies
+    between fl(x - pos) and fl(x - neg), with pos = POS_CUTOFF/w and
+    neg = NEG_CUTOFF/w, and since x is itself a double, the double nearest
+    x - pos lies within pos of it.  So -2*|neg| <= x - c <= 2*pos, and
+    t = w*(x - c) lies in [-1494, 74] up to rounding.  When ulp(x)/4
+    exceeds both offsets, both ends of the window round to x, only units
+    with c == x are visited, and t = 0.  The bound on x - c keeps it
+    finite while |neg| <= MAX/4.  A smaller slope, below about 1.7e-305,
+    leaves the window wider than the doubles, so `_check_window` refuses
+    an x at which x - c overflows for a unit in the window; the guarded
+    sigmoid refused such an x as well, once the loop reached that unit.
     """
+    w, centers, coeffs, prefix, tail, pos, neg, cmax, floor, xlo, xhi = g._kernel
     x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    w, centers, coeffs, prefix, tail, pos, neg, cmax, floor = g._kernel
-    ulp = math.ulp
     lo = bisect_left(centers, x - pos)
     hi = bisect_right(centers, x - neg)
+    if not xlo <= x <= xhi:
+        _check_window(x, centers, lo, hi)
+    sig = sigmoid
+    ulp = math.ulp
     acc = prefix[lo - 1] if lo > 0 else 0.0
     for u in range(lo, hi):
         t = w * (x - centers[u])
-        s = sigmoid(t)
+        s = sig(t)
         acc += coeffs[u] * s
         if t < 0.0 and tail * s < ulp(acc) / 8:
             if abs(acc) >= floor or cmax * s < ulp(acc) / 8:
@@ -500,7 +547,9 @@ def surrogate_L(g: SigmoidApproximant, i: int, x: float) -> float:
     if not (pts[i] <= x <= pts[i + 1]):
         raise ValueError(f"x={x!r} not in cell [{pts[i]!r}, {pts[i + 1]!r}]")
     # the left-to-right fold of coeff0 and coeff(2)..coeff(i-1), i.e. of
-    # unit coefficients 0..i-2
+    # unit coefficients 0..i-2.  x and both centers lie in one cell of
+    # finite points, so x - c is finite, and w * (x - c) overflows only
+    # far beyond the cutoffs, where the kernel's 1.0 and 0.0 are exact
     acc = g._prefix[i - 2]
     acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
     acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))

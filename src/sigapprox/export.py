@@ -95,10 +95,11 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     document can get wrong: N must be an int, the unit count must be
     N + 1, and every unit must hold unit 0's hidden weight w and the bias
     -w * x_k that `to_network_document` wrote, bit for bit; a unit that
-    fails raises ValueError naming it.  What passes still goes through
-    `SigmoidApproximant`, which refuses a slope that is not positive and
-    finite and an output coefficient that is not finite with RecipeError,
-    a ValueError."""
+    fails raises ValueError naming it.  The slope, unit 0's hidden weight,
+    goes through `SigmoidApproximant.check_slope` before any unit is
+    compared, and the network through `SigmoidApproximant`, which refuses
+    an output coefficient that is not finite; both raise RecipeError, a
+    ValueError."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":
@@ -112,6 +113,9 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
         raise ValueError(f"expected {n + 1} units, document has {len(units)}")
     p = unif_part(float(meta["a"]), float(meta["b"]), n)
     w = float(units[0]["hidden_weight"])
+    # a nan slope would fail unit 0's own weight check and an inf one its
+    # bias check, so the slope is refused by name before either
+    SigmoidApproximant.check_slope(w)
     # bound to a name so the tuple lives until return: freeing it when the
     # loop ends raised peak RSS by 0.7 MB on the large-n workload (N ~ 1e5)
     centers = unit_centers(p)

@@ -30,7 +30,8 @@ class UniformPartition:
 
 
 def unif_part(a: float, b: float, n: int) -> UniformPartition:
-    """The N+2 equally spaced points on [a - h, b], h = (b - a)/N."""
+    """The N+2 equally spaced points on [a - h, b], h = (b - a)/N, all
+    finite: an interval so wide that a - h overflows is refused."""
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -40,6 +41,8 @@ def unif_part(a: float, b: float, n: int) -> UniformPartition:
     if n < 1:
         raise ValueError("n must be at least 1")
     h = (b - a) / n
+    if math.isinf(a - h):
+        raise ValueError(f"[{a!r}, {b!r}] is too wide for N = {n}: x_0 = a - h overflows")
     # a + N*h can miss b by an ulp, leaving b outside the last cell
     points = tuple(a + (k - 1) * h for k in range(n + 1)) + (b,)
     return UniformPartition(a=a, b=b, n_intervals=n, points=points)

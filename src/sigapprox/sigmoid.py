@@ -18,6 +18,7 @@ from .stirling import factorial, stirling_row
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
+    "finite_sigmoid",
     "sigmoid",
     "sigmoid_deriv1",
     "sigmoid_deriv2",
@@ -55,6 +56,17 @@ def sigmoid(x: float) -> float:
     raise ValueError(f"input must be finite, got {x!r}")
 
 
+def finite_sigmoid(t: float) -> float:
+    """`sigmoid` for a float t its caller knows to be finite: the same two
+    formulas on the same branches, with no conversion and no range test,
+    so it returns the same double.  t = +-inf gives 1.0 and 0.0, the
+    limits of sigma, and NaN gives NaN."""
+    if t >= 0.0:
+        return 1.0 / (1.0 + exp(-t))
+    e = exp(t)
+    return e / (1.0 + e)
+
+
 def sigmoid_deriv1(x: float) -> float:
     """First derivative: sigma(x) * (1 - sigma(x)), in (0, 0.25].
 
@@ -62,13 +74,13 @@ def sigmoid_deriv1(x: float) -> float:
     directly computed one; forming 1 - sigma(x) for large x would cancel.
     The derivative is even, so this changes nothing mathematically.
     """
-    s = sigmoid(-abs(_require_finite(x)))
+    s = finite_sigmoid(-abs(_require_finite(x)))
     return s * (1.0 - s)
 
 
 def sigmoid_deriv2(x: float) -> float:
     """Second derivative: sigma(x) * (1 - sigma(x)) * (1 - 2*sigma(x))."""
-    s = sigmoid(x)
+    s = finite_sigmoid(_require_finite(x))
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
@@ -87,7 +99,7 @@ def sigmoid_nth_derivative(n: int, x: float) -> float:
             f"derivative order {n} exceeds the supported maximum "
             f"{MAX_DERIVATIVE_ORDER}"
         )
-    s = sigmoid(x)
+    s = finite_sigmoid(_require_finite(x))
     row = stirling_row(n + 1)
     acc = 0.0
     power = 1.0

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -26,7 +27,7 @@ from sigapprox.engine import (
 )
 from sigapprox.expressions import EvalDomainError, FunctionSpec
 from sigapprox.partition import select_index, unif_part
-from sigapprox.sigmoid import sigmoid
+from sigapprox.sigmoid import finite_sigmoid, sigmoid
 
 from oracles import (
     exact_recipe_n,
@@ -511,10 +512,13 @@ def _lookahead_cases(rng):
     return cases
 
 
-def _cmax_rule_calls(g, x):
-    """(G(x), sigmoid calls) under the exit rule without the lookahead:
-    stop after a unit with t < 0 once cmax * s < ulp(acc)/8."""
-    w, centers, coeffs = g.w, g.centers, g.unit_coeffs
+def _window_rule_calls(g, x, d=1.0):
+    """(G(x), sigmoid calls) under `evaluate`'s window and exit rule with
+    the lookahead factor d: stop after a unit with t < 0 once
+    cmax * d * s < ulp(acc)/8, and, while |acc| is below 2^-1000 *
+    max(1, cmax), only once cmax * s < ulp(acc)/8 as well.  d = 1 is the
+    rule without the lookahead."""
+    w, centers, coeffs, cmax = g.w, g.centers, g.unit_coeffs, g._cmax
     lo = bisect_left(centers, x - POS_CUTOFF / w)
     hi = bisect_right(centers, x - NEG_CUTOFF / w)
     acc = g._prefix[lo - 1] if lo > 0 else 0.0
@@ -522,17 +526,22 @@ def _cmax_rule_calls(g, x):
         t = w * (x - centers[u])
         s = sigmoid(t)
         acc += coeffs[u] * s
-        if t < 0.0 and g._cmax * s < math.ulp(acc) / 8:
-            return acc, u - lo + 1
+        if t < 0.0 and cmax * d * s < math.ulp(acc) / 8:
+            if abs(acc) >= 2.0**-1000 * max(1.0, cmax) or cmax * s < math.ulp(acc) / 8:
+                return acc, u - lo + 1
     return acc, hi - lo
 
 
 def test_lookahead_calls_fewer_sigmoids_on_the_worked_example(monkeypatch):
     # counted the way the benchmark's probe counts: by wrapping the
-    # engine's `sigmoid` while `evaluate` runs
+    # engine's `sigmoid` while `evaluate` runs.  `evaluate` calls the kernel
+    # through that module-level name, so the count is the number of units
+    # the window rule visits
     spec = make_spec(WIGGLY, WIGGLY_L, 1.05)
     g = build_approximant(spec, compute_recipe(spec, 0.01))
     assert g.partition.n_intervals == 6924
+    gap = min(c2 - c1 for c1, c2 in zip(g.centers, g.centers[1:]))
+    d = min(1.0, 2.0 * math.exp(-g.w * gap) * (1.0 + 2.0**-20))
     rng = random.Random(5)
     xs = [rng.uniform(0.0, 1.0) for _ in range(4000)]
     calls = []
@@ -547,13 +556,69 @@ def test_lookahead_calls_fewer_sigmoids_on_the_worked_example(monkeypatch):
         count[0] = 0
         gx = evaluate(g, x)
         calls.append(count[0])
-        want, old_calls = _cmax_rule_calls(g, x)
+        want, old_calls = _window_rule_calls(g, x)
         assert _bits(gx) == _bits(want)
-        assert count[0] <= old_calls
+        assert count[0] == _window_rule_calls(g, x, d)[1] <= old_calls
     monkeypatch.undo()
-    old_mean = sum(_cmax_rule_calls(g, x)[1] for x in xs) / len(xs)
+    old_mean = sum(_window_rule_calls(g, x)[1] for x in xs) / len(xs)
     mean = sum(calls) / len(calls)
-    assert mean <= 8.2 < 8.8 <= old_mean
+    assert 0 < mean <= 8.2 < 8.8 <= old_mean
+
+
+@pytest.mark.parametrize("w", [1e-300, 1.0, 1e300])
+def test_evaluate_passes_the_kernel_only_finite_arguments(w, monkeypatch):
+    big = sys.float_info.max
+    rng = random.Random(13)
+    p = unif_part(0.0, 1.0, 8)
+    g = SigmoidApproximant(w=w, partition=p, coeff0=0.5,
+                           coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(8)))
+    xs = []
+    for x in (big, -big, 1e308, -1e308, p.a - 747.0 / w, p.b + 37.0 / w):
+        xs += [x, math.nextafter(x, math.copysign(math.inf, x))]
+    xs += [y for c in g.centers for y in _around(c, steps=3)]
+    xs += [rng.uniform(-2.0, 3.0) for _ in range(500)]
+    seen = []
+
+    def recorded(t):
+        seen.append(t)
+        return finite_sigmoid(t)
+
+    # wrapped as the benchmark's probe wraps it
+    monkeypatch.setattr(engine, "sigmoid", recorded)
+    compared = 0
+    for x in xs:
+        if math.isinf(x):  # the next double outward from +-MAX
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                evaluate(g, x)
+            continue
+        gx = evaluate(g, x)
+        try:
+            want = reference_G(g, x)
+        except ValueError:  # w * (x - c) overflows for some unit
+            continue
+        assert _bits(gx) == _bits(want), x
+        compared += 1
+    assert seen and all(map(math.isfinite, seen))
+    assert compared > 500
+
+
+def test_evaluate_refuses_an_x_whose_distance_to_a_center_overflows():
+    # with w = 1e-308 the sigmoid window holds every unit, and x - x_0
+    # overflows at x = MAX: the guarded sigmoid raised there as well
+    big = sys.float_info.max
+    p = unif_part(-0.7e308, 0.7e308, 4)
+    g = SigmoidApproximant(w=1e-308, partition=p, coeff0=1.0, coeffs=(1.0,) * 4)
+    assert g._kernel[-2:] == (math.inf, -math.inf)
+    for x in (0.0, 7e307, -7e307, p.a, p.b, -1e308):
+        assert _bits(evaluate(g, x)) == _bits(reference_G(g, x))
+    for x in (big, -big, 1e308, -1.1e308):
+        with pytest.raises(ValueError, match="^input must be finite"):
+            reference_G(g, x)
+        with pytest.raises(ValueError, match="too far from the unit centers"):
+            evaluate(g, x)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            evaluate(g, x)
 
 
 def test_validate_zero_function():
@@ -769,6 +834,16 @@ def test_surrogate_matches_reference_fold():
         acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
         acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
         assert _bits(surrogate_L(g, i, x)) == _bits(acc)
+
+
+def test_surrogate_takes_the_limits_of_sigma_where_its_argument_overflows():
+    # w * (x - c) = +-6.25e308 overflows; the boundary units' sigmoids are 1
+    # and 0, as at any argument beyond the cutoffs
+    p = unif_part(0.0, 1e10, 8)
+    g = SigmoidApproximant(w=1e300, partition=p, coeff0=1.0,
+                           coeffs=tuple(float(k) for k in range(2, 10)))
+    x = 0.5 * (p.points[3] + p.points[4])
+    assert surrogate_L(g, 3, x) == g._prefix[1] + g.coeff(3)
 
 
 def test_surrogate_rejects_small_index():

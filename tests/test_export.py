@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -274,15 +275,19 @@ def test_loader_rejects_nan_literals_in_the_json_text():
         approximant_from_document(doc)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_loader_rejects_a_non_finite_weight(value):
-    doc = hand_document("x", 0.0, 1.0, 4)
-    units = [dict(u, hidden_weight=value) for u in doc["units"]]
-    # nan fails unit 0's own weight check (nan != nan); inf passes it, and
-    # -w * x_0 = -inf * -0.25 then differs from the bias the document holds
-    want = ("hidden_weight nan" if math.isnan(value)
-            else r"hidden_bias 1\.0986122886681098, -w \* x_k is inf$")
-    with pytest.raises(ValueError, match=f"^unit 0 has {want}"):
+@pytest.mark.parametrize("recompute", [False, True],
+                         ids=["biases-as-written", "biases-recomputed"])
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_loader_names_the_slope(w, recompute):
+    # the slope is refused before any bias is compared: nan would fail unit
+    # 0's own weight check (nan != nan), and inf with the biases as written
+    # its bias check (-w * x_0 = -inf * -0.25 is not 1.0986...)
+    spec, recipe, g = hand_pipeline("x", 0.0, 1.0, 4)
+    doc = to_network_document(g, recipe, spec)
+    units = [dict(u, hidden_weight=w, **({"hidden_bias": -w * c} if recompute else {}))
+             for u, c in zip(doc["units"], g.centers)]
+    with pytest.raises(RecipeError, match=f"^hidden_weight {re.escape(repr(w))} "
+                                          "is not positive and finite$"):
         approximant_from_document(dict(doc, units=units))
 
 

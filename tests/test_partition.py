@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,6 +38,13 @@ def test_preconditions():
         unif_part(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         unif_part(0.0, math.inf, 4)
+    # b - a is finite but x_0 = a - h is not, or b - a overflows
+    big = sys.float_info.max
+    for a, b, n in ((-1.7e308, 0.0, 4), (-big, big, 4), (-big, 0.0, 10**6)):
+        with pytest.raises(ValueError, match=r"is too wide for N = \d+: x_0 = a - h overflows$"):
+            unif_part(a, b, n)
+    for a, b, n in ((-0.7e308, 0.7e308, 4), (-big / 4, big / 4, 1)):
+        assert all(map(math.isfinite, unif_part(a, b, n).points))
 
 
 interval_strategy = st.tuples(

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from sigapprox.sigmoid import (
     MAX_DERIVATIVE_ORDER,
+    finite_sigmoid,
     sigmoid,
     sigmoid_deriv1,
     sigmoid_deriv2,
@@ -153,13 +154,18 @@ def test_bit_identical_to_the_guarded_formula():
     edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
              -2.2250738585072014e-308, 708.0, -708.0, 745.0, -745.0,
              745.2, -745.2, 746.0, -746.0, sys.float_info.max, -sys.float_info.max,
-             36.7, 37.0, -37.0, 1.0, -1.0]
+             36.7, -36.7, 37.0, -37.0, 1.0, -1.0]
     rng = random.Random(7)
     sweep = [rng.uniform(-800.0, 800.0) for _ in range(20_000)]
     sweep += [rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-1074, 1023) for _ in range(5000)]
     for x in edges + sweep:
         assert sigmoid(x).hex() == guarded_sigmoid(x).hex(), x
+        # the kernel without the guard gives the same double
+        assert finite_sigmoid(x).hex() == sigmoid(x).hex(), x
     assert math.copysign(1.0, sigmoid(-0.0)) == 1.0
+    # the limits of sigma, which `surrogate_L` relies on when w * (x - c)
+    # overflows
+    assert (finite_sigmoid(math.inf), finite_sigmoid(-math.inf)) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -177,3 +183,8 @@ def test_non_finite_message(bad):
     with pytest.raises(ValueError) as want:
         guarded_sigmoid(bad)
     assert str(got.value) == str(want.value)
+    # the derivatives guard their input once and call the kernel
+    for derivative in (sigmoid_deriv1, sigmoid_deriv2,
+                       lambda x: sigmoid_nth_derivative(3, x)):
+        with pytest.raises(ValueError, match=f"^input must be finite, got {bad!r}$"):
+            derivative(bad)
