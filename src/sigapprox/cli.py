@@ -16,7 +16,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, Optional
 
 from . import engine, export
-from .expressions import ExprError, FunctionSpec
+from .expressions import FUNCTIONS, ExprError, FunctionSpec
 from .limits import boundary_residual, sigmoid_saturation_slope
 from .sigmoid import MAX_DERIVATIVE_ORDER, sigmoid_nth_derivative
 from .stirling import stirling2, stirling_row
@@ -31,7 +31,7 @@ GRAMMAR_HELP = (
     "term := factor (('*'|'/') factor)*; "
     "factor := '-' factor | base ('^' factor)?; "
     "base := number | 'x' | 'pi' | ident '(' expr ')' | '(' expr ')'; "
-    "functions: abs, sin, cos, exp, ln, sqrt; "
+    f"functions: {', '.join(FUNCTIONS)}; "
     "'^' exponents must be constant; no implicit multiplication"
 )
 

@@ -35,6 +35,7 @@ from operator import sub
 from typing import Callable, Iterator, Optional
 
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
+from .limits import sigmoid_saturation_slope
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
 # `evaluate` and `surrogate_L` pass the sigmoid only finite arguments (see
 # `evaluate`'s docstring), so this module's name `sigmoid` is the kernel
@@ -203,7 +204,10 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
             "epsilon is too small for this configuration"
         )
     h = (b - a) / n
-    w = math.log(n - 1.0) / h if h > 0.0 else math.inf
+    if 0.0 < h < math.inf:
+        w = sigmoid_saturation_slope(h, n).omega
+    else:
+        w = 0.0 if h else math.inf  # the limits of ln(N - 1)/h
     if not 0.0 < w < math.inf:
         width = "wide" if h == math.inf else "narrow"
         raise RecipeError(
@@ -247,7 +251,7 @@ class SigmoidApproximant:
     `evaluate`'s exact early exit and the sigmoid-window cutoffs assume
     all three.
 
-    `built_from` is (spec, f(x_k) for k = 0..N+1) as `build_approximant`
+    `built_from` is (spec, f(x_k) for k = 1..N+1) as `build_approximant`
     computed them, so `validate` against that same spec need not evaluate
     f at the knots again; a G from anywhere else has None.  It takes no
     part in repr, == or hash."""
@@ -332,7 +336,8 @@ class SigmoidApproximant:
 
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
-    """Construct G for the recipe: one f evaluation per partition point.
+    """Construct G for the recipe: one f evaluation at each partition point
+    in [a, b], x_1..x_{N+1}.  x_0 = a - h is a unit center only.
 
     f is finite at every point, but a forward difference of two finite
     values can overflow; `SigmoidApproximant` then raises RecipeError
@@ -342,11 +347,10 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
         raise RecipeError("recipe interval does not match the function spec")
     p = unif_part(a, b, recipe.n)
     # doubles in an array take 8 bytes each, a tuple of floats 32
-    values = array("d", map(spec, p.points))
-    coeff0 = values[1]
-    coeffs = tuple(map(sub, islice(values, 2, None), islice(values, 1, None)))
+    values = array("d", map(spec, islice(p.points, 1, None)))
+    coeffs = tuple(map(sub, islice(values, 1, None), values))
     return SigmoidApproximant(
-        w=recipe.w, partition=p, coeff0=coeff0, coeffs=coeffs, built_from=(spec, values)
+        w=recipe.w, partition=p, coeff0=values[0], coeffs=coeffs, built_from=(spec, values)
     )
 
 
@@ -497,7 +501,7 @@ def validate(
     a, b = spec.interval.a, spec.interval.b
     built = g.built_from
     values = built[1] if built is not None and built[0] is spec else repeat(None)
-    knots = ((p, v) for p, v in zip(g.partition.points, values) if a < p < b)
+    knots = ((p, v) for p, v in zip(islice(g.partition.points, 1, None), values) if a < p < b)
     sup = -1.0
     argmax = a
     count = 0

@@ -10,15 +10,17 @@ Grammar (documented and stable):
 '+'/'-' and '*'/'/' are left-associative, '^' is right-associative and binds
 tighter than unary minus.  Implicit multiplication is not supported.  The
 exponent of '^' must be a constant expression (no 'x'), which keeps the
-Lipschitz estimator sane.  Functions: abs, sin, cos, exp, ln, sqrt.
+Lipschitz estimator sane.  Functions: abs, sin, cos, exp, ln, sqrt.  Every
+reader below takes the operators from one table, `OPS`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .partition import uniform_grid
 
@@ -42,9 +44,6 @@ __all__ = [
     "estimate_lipschitz",
     "estimate_sup",
 ]
-
-FUNCTIONS = ("abs", "sin", "cos", "exp", "ln", "sqrt")
-
 
 class ExprError(ValueError):
     """Base class for expression language errors."""
@@ -96,18 +95,52 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # 'neg' or one of FUNCTIONS
+    op: str  # a key of OPS with arity 1
     operand: "Node"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # add, sub, mul, div or pow
+    op: str  # a key of OPS with arity 2
     left: "Node"
     right: "Node"
 
 
 Node = Union[Const, Pi, Var, Unary, Binary]
+
+
+def _real_pow(base: float, exponent: float) -> float:
+    """base ** exponent; ValueError where that is complex or not finite."""
+    out = base**exponent
+    if isinstance(out, complex) or not math.isfinite(out):
+        raise ValueError(out)
+    return out
+
+
+# The operator table: node op name -> (arity, spelling in source text,
+# call, message).  When the call raises one of _DOMAIN_ERRORS,
+# `evaluate_ast` raises EvalDomainError(message), or lets the exception
+# through if message is None.  `/`, log and sqrt raise on exactly the
+# inputs outside their domain: x/0.0 and x/-0.0, log of zero or below,
+# sqrt below -0.0 (sqrt(-0.0) is -0.0).  nan passes through all three.
+OPS: dict[str, tuple[int, str, Callable[..., float], Optional[str]]] = {
+    "neg": (1, "-", operator.neg, None),
+    "abs": (1, "abs", abs, None),
+    "sin": (1, "sin", math.sin, "sin of infinite value"),
+    "cos": (1, "cos", math.cos, "cos of infinite value"),
+    "exp": (1, "exp", math.exp, "exp overflow"),
+    "ln": (1, "ln", math.log, "ln of non-positive value"),
+    "sqrt": (1, "sqrt", math.sqrt, "sqrt of negative value"),
+    "add": (2, "+", operator.add, None),
+    "sub": (2, "-", operator.sub, None),
+    "mul": (2, "*", operator.mul, None),
+    "div": (2, "/", operator.truediv, "division by zero"),
+    "pow": (2, "^", _real_pow, "power outside real domain"),
+}
+_DOMAIN_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+# a function is spelled as its own name
+FUNCTIONS = tuple(name for name, (_, symbol, _, _) in OPS.items() if symbol == name)
+_BINARY_OP = {symbol: name for name, (arity, symbol, _, _) in OPS.items() if arity == 2}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -171,8 +204,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = Binary("add" if val == "+" else "sub", node, rhs)
+                node = Binary(_BINARY_OP[val], node, self.term())
             else:
                 return node
 
@@ -182,8 +214,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
-                rhs = self.factor()
-                node = Binary("mul" if val == "*" else "div", node, rhs)
+                node = Binary(_BINARY_OP[val], node, self.factor())
             else:
                 return node
 
@@ -201,7 +232,7 @@ class _Parser:
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression", pos
                 )
-            node = Binary("pow", node, exponent)
+            node = Binary(_BINARY_OP[val], node, exponent)
         return node
 
     def base(self) -> Node:
@@ -237,70 +268,36 @@ def parse(text: str) -> Node:
 
 
 def evaluate_ast(node: Node, x: float) -> float:
-    """Evaluate with standard real semantics.  Leaving the real domain
-    (division by zero, ln or sqrt outside its domain, exp or '^'
-    overflowing, sin or cos of infinity) raises EvalDomainError.  Other
-    arithmetic can overflow to inf or nan here; `FunctionSpec` checks the
-    result."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Pi):
-        return math.pi
-    if isinstance(node, Var):
+    """Evaluate with standard real semantics, each op by its `OPS` entry.
+    Leaving the real domain (division by zero, ln or sqrt outside its
+    domain, exp or '^' overflowing, sin or cos of infinity) raises
+    EvalDomainError.  Other arithmetic can overflow to inf or nan here;
+    `FunctionSpec` checks the result."""
+    kind = type(node)
+    if kind is Binary:
+        left = evaluate_ast(node.left, x)
+        right = evaluate_ast(node.right, x)
+        _, _, fn, message = OPS[node.op]
+        try:
+            return fn(left, right)
+        except _DOMAIN_ERRORS:
+            if message is None:
+                raise
+            raise EvalDomainError(message, node, x) from None
+    if kind is Unary:
+        value = evaluate_ast(node.operand, x)
+        _, _, fn, message = OPS[node.op]
+        try:
+            return fn(value)
+        except _DOMAIN_ERRORS:
+            if message is None:
+                raise
+            raise EvalDomainError(message, node, x) from None
+    if kind is Var:
         return x
-    if isinstance(node, Unary):
-        v = evaluate_ast(node.operand, x)
-        if node.op == "neg":
-            return -v
-        if node.op == "abs":
-            return abs(v)
-        if node.op == "sin":
-            try:
-                return math.sin(v)
-            except ValueError:
-                raise EvalDomainError("sin of infinite value", node, x) from None
-        if node.op == "cos":
-            try:
-                return math.cos(v)
-            except ValueError:
-                raise EvalDomainError("cos of infinite value", node, x) from None
-        if node.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise EvalDomainError("exp overflow", node, x) from None
-        if node.op == "ln":
-            if v <= 0.0:
-                raise EvalDomainError("ln of non-positive value", node, x)
-            return math.log(v)
-        if node.op == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of negative value", node, x)
-            return math.sqrt(v)
-        raise AssertionError(f"unknown unary op {node.op!r}")
-    if isinstance(node, Binary):
-        lv = evaluate_ast(node.left, x)
-        rv = evaluate_ast(node.right, x)
-        if node.op == "add":
-            return lv + rv
-        if node.op == "sub":
-            return lv - rv
-        if node.op == "mul":
-            return lv * rv
-        if node.op == "div":
-            if rv == 0.0:
-                raise EvalDomainError("division by zero", node, x)
-            return lv / rv
-        if node.op == "pow":
-            try:
-                out = lv**rv
-            except (OverflowError, ZeroDivisionError, ValueError):
-                raise EvalDomainError("power outside real domain", node, x) from None
-            if isinstance(out, complex) or not math.isfinite(out):
-                raise EvalDomainError("power outside real domain", node, x)
-            return out
-        raise AssertionError(f"unknown binary op {node.op!r}")
-    raise AssertionError(f"unknown node {node!r}")
+    if kind is Pi:
+        return math.pi
+    return node.value
 
 
 def _post_order(node: Node) -> Iterator[Node]:
@@ -312,9 +309,6 @@ def _post_order(node: Node) -> Iterator[Node]:
         yield from _post_order(node.left)
         yield from _post_order(node.right)
     yield node
-
-
-_OP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
 def format_ast(node: Node) -> str:
@@ -333,10 +327,8 @@ def format_ast(node: Node) -> str:
         if node.op == "neg":
             return f"(-{format_ast(node.operand)})"
         return f"{node.op}({format_ast(node.operand)})"
-    if isinstance(node, Binary):
-        sym = _OP_SYMBOL[node.op]
-        return f"({format_ast(node.left)} {sym} {format_ast(node.right)})"
-    raise AssertionError(f"unknown node {node!r}")
+    sym = OPS[node.op][1]
+    return f"({format_ast(node.left)} {sym} {format_ast(node.right)})"
 
 
 @dataclass(frozen=True)

@@ -71,5 +71,8 @@ def uniform_grid(a: float, b: float, n: int) -> Iterator[float]:
     """a + (b - a)*j/(n - 1) for j = 0..n-2, then b itself, n >= 2: the
     closed formula at j = n-1 can miss b by an ulp either way.
     Nondecreasing: every operation rounds monotonically, and at j = n-2 the
-    formula stays below b unless n - 1 nears 1/ulp(1)."""
+    formula stays below b unless n - 1 nears 1/ulp(1).  ValueError when
+    (b - a)*(n - 2), and with it a grid point, is not finite."""
+    if not math.isfinite((b - a) * (n - 2)):
+        raise ValueError(f"[{a!r}, {b!r}] is too wide for a grid of n = {n} points")
     return chain((a + (b - a) * j / (n - 1) for j in range(n - 1)), (b,))

@@ -9,8 +9,9 @@ and so must use the library's own sigmoid.  The grid references spell the
 grid formula out rather than calling the library's generator, the
 network document's layout is whatever the json module makes of it, N
 is the paper's formula in rational arithmetic, written out apart from the
-recipe code, and the samples CSV is what a second, separate walk of the
-grid writes.
+recipe code, the samples CSV is what a second, separate walk of the
+grid writes, and expressions are evaluated by a chain of per-op branches
+with explicit domain checks instead of the library's operator table.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import mpmath as mp
 
 from sigapprox.engine import validate
 from sigapprox.export import write_samples
+from sigapprox.expressions import Binary, Const, EvalDomainError, Pi, Unary, Var
 from sigapprox.sigmoid import sigmoid
 
 
@@ -169,3 +171,68 @@ def reference_samples_csv(g, spec, epsilon: float, grid_size: int):
     out = io.StringIO()
     write_samples(g, spec, grid_size, out)
     return report, out.getvalue()
+
+
+def reference_evaluate_ast(node, x: float) -> float:
+    """`evaluate_ast` as a branch per op, with ln, sqrt and '/' checking
+    their domain before the call: the same double, or the same
+    EvalDomainError with the same node, at every x."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Pi):
+        return math.pi
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        v = reference_evaluate_ast(node.operand, x)
+        if node.op == "neg":
+            return -v
+        if node.op == "abs":
+            return abs(v)
+        if node.op == "sin":
+            try:
+                return math.sin(v)
+            except ValueError:
+                raise EvalDomainError("sin of infinite value", node, x) from None
+        if node.op == "cos":
+            try:
+                return math.cos(v)
+            except ValueError:
+                raise EvalDomainError("cos of infinite value", node, x) from None
+        if node.op == "exp":
+            try:
+                return math.exp(v)
+            except OverflowError:
+                raise EvalDomainError("exp overflow", node, x) from None
+        if node.op == "ln":
+            if v <= 0.0:
+                raise EvalDomainError("ln of non-positive value", node, x)
+            return math.log(v)
+        if node.op == "sqrt":
+            if v < 0.0:
+                raise EvalDomainError("sqrt of negative value", node, x)
+            return math.sqrt(v)
+        raise AssertionError(f"unknown unary op {node.op!r}")
+    if isinstance(node, Binary):
+        lv = reference_evaluate_ast(node.left, x)
+        rv = reference_evaluate_ast(node.right, x)
+        if node.op == "add":
+            return lv + rv
+        if node.op == "sub":
+            return lv - rv
+        if node.op == "mul":
+            return lv * rv
+        if node.op == "div":
+            if rv == 0.0:
+                raise EvalDomainError("division by zero", node, x)
+            return lv / rv
+        if node.op == "pow":
+            try:
+                out = lv**rv
+            except (OverflowError, ZeroDivisionError, ValueError):
+                raise EvalDomainError("power outside real domain", node, x) from None
+            if isinstance(out, complex) or not math.isfinite(out):
+                raise EvalDomainError("power outside real domain", node, x)
+            return out
+        raise AssertionError(f"unknown binary op {node.op!r}")
+    raise AssertionError(f"unknown node {node!r}")

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sigapprox.cli import main
+from sigapprox.cli import GRAMMAR_HELP, main
 from sigapprox.engine import build_approximant, compute_recipe
 from sigapprox.export import to_network_document, write_network_document
 from sigapprox.expressions import FunctionSpec
@@ -172,12 +172,42 @@ def test_non_finite_literal_exits_2(capsys):
 def test_sin_of_infinity_exits_3(capsys):
     code, out, err = run(
         capsys,
-        ["approximate", "--fn", "sin(1e300*1e300*x)", "--a", "0", "--b", "1",
+        # at x = 0, 1e300*1e300*x is inf*0 = nan, and sin(nan) is nan
+        ["approximate", "--fn", "sin(1e300*1e300*x)", "--a", "0.5", "--b", "1",
          "--eps", "0.2", "--lipschitz", "1", "--sup", "1"],
     )
     assert code == 3
     assert out == ""
     assert err.startswith("error: sin of infinite value (at x=")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["approximate", "--fn", "0", "--a", "0", "--b", "1e305", "--eps", "2",
+          "--sup", "1", "--delta", "1e305"],
+         "[0.0, 1e+305] is too wide for a grid of n = 10001 points"),
+        (["recipe", "--fn", "x", "--a=-1.7e308", "--b", "1.7e308", "--eps", "1"],
+         "[-1.7e+308, 1.7e+308] is too wide for a grid of n = 1000 points"),
+    ],
+    ids=["validation-grid", "estimator-grid"],
+)
+def test_grid_step_overflow_exits_3_naming_the_grid(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_f_is_not_evaluated_left_of_a(capsys):
+    # x_0 = a - h is a unit center only: sqrt is defined on all of [0, 1]
+    code, out, err = run(
+        capsys,
+        ["approximate", "--fn", "sqrt(x)", "--a", "0", "--b", "1", "--eps", "0.5",
+         "--sup", "1", "--delta", "0.1"],
+    )
+    assert (code, err) == (0, "")
+    assert parse_lines(out)["pass"] == "True"
 
 
 def test_overflowing_f_exits_3_naming_node_and_x(capsys):
@@ -292,6 +322,10 @@ def test_saturation_rejects_small_n(capsys):
     assert code == 2
 
 
+def test_grammar_help_lists_the_functions():
+    assert "functions: abs, sin, cos, exp, ln, sqrt;" in GRAMMAR_HELP
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 
@@ -326,10 +360,11 @@ def test_approximate_evaluates_f_once_per_point(capsys, monkeypatch, tmp_path):
         WIGGLY, tmp_path, "--out-network", str(tmp_path / "net.json"), grid="2001"))
     assert code == 0
     values = parse_lines(out)
-    # N + 2 partition points to build G, then each distinct uniform-grid
-    # point: validation takes the knots' f values from the build
+    # the N + 1 partition points in [a, b] to build G, then each distinct
+    # uniform-grid point: validation takes the knots' f values from the build
     distinct = len(set(reference_uniform_grid(0.0, 1.0, 2001)))
-    assert len(calls) == int(values["N"]) + 2 + distinct == 2053
+    assert len(calls) == int(values["N"]) + 1 + distinct == 2052
+    assert min(calls) == 0.0 and max(calls) == 1.0
     assert int(values["grid_size"]) == 2004
     assert len((tmp_path / "samples.csv").read_text().splitlines()) == 2002
 

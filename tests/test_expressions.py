@@ -22,6 +22,8 @@ from sigapprox.expressions import (
     parse,
 )
 
+from oracles import reference_evaluate_ast
+
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
 
@@ -197,6 +199,58 @@ asts = st.recursive(
 @given(asts)
 def test_parse_print_round_trip(ast):
     assert parse(format_ast(ast)) == ast
+
+
+# --- the operator table against the reference evaluator ------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+any_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+any_leaves = st.one_of(any_floats.map(Const), st.just(Pi()), st.just(Var()))
+any_asts = st.recursive(
+    any_leaves, lambda ch: st.one_of(unary_nodes(ch), binary_nodes(ch)), max_leaves=20
+)
+
+
+def outcome(evaluate, ast, x):
+    """The result's hex, or the exception's type, text and node."""
+    try:
+        return evaluate(ast, x).hex()
+    except Exception as exc:
+        return type(exc), str(exc), id(getattr(exc, "node", None))
+
+
+@given(any_asts, any_floats)
+def test_evaluate_matches_the_reference(ast, x):
+    assert outcome(evaluate_ast, ast, x) == outcome(reference_evaluate_ast, ast, x)
+
+
+@pytest.mark.parametrize(
+    "text, x, expected",
+    [
+        ("ln(x)", 0.0, "ln of non-positive value"),
+        ("ln(x)", -0.0, "ln of non-positive value"),
+        ("ln(x)", -math.inf, "ln of non-positive value"),
+        ("sqrt(x)", -0.0, (-0.0).hex()),
+        ("sqrt(x)", -1e-320, "sqrt of negative value"),
+        ("1/x", -0.0, "division by zero"),
+        ("x/0", math.nan, "division by zero"),
+        ("x/1e-10", 1e300, math.inf.hex()),
+        ("x^(1/3)", -8.0, "power outside real domain"),
+        ("x^(-1)", 0.0, "power outside real domain"),
+        ("x^400", 10.0, "power outside real domain"),
+        ("exp(x)", 710.0, "exp overflow"),
+        ("sin(x)", math.inf, "sin of infinite value"),
+        ("ln(x) + sqrt(x)", math.nan, math.nan.hex()),
+    ],
+)
+def test_evaluate_edge_cases(text, x, expected):
+    ast = parse(text)
+    got = outcome(evaluate_ast, ast, x)
+    assert got == outcome(reference_evaluate_ast, ast, x)
+    if isinstance(got, str):
+        assert got == expected
+    else:
+        assert got[:2] == (EvalDomainError, f"{expected} (at x={x!r})")
 
 
 # --- estimators ----------------------------------------------------------

@@ -108,6 +108,22 @@ def test_uniform_grid_ends_at_b():
     assert xs == sorted(xs)
 
 
+@pytest.mark.parametrize(
+    "a, b, n", [(0.0, 1e305, 10_001), (-1.7e308, 1.7e308, 1000), (-1.7e308, 1.7e308, 2)]
+)
+def test_uniform_grid_refuses_an_overflowing_step(a, b, n):
+    # b - a or (b - a)*j overflows before any grid point does
+    with pytest.raises(ValueError) as exc:
+        uniform_grid(a, b, n)
+    assert str(exc.value) == f"[{a!r}, {b!r}] is too wide for a grid of n = {n} points"
+
+
+def test_uniform_grid_keeps_the_widest_finite_step():
+    xs = list(uniform_grid(0.0, 1e304, 10_001))
+    assert xs == [0.0 + (1e304 - 0.0) * j / 10_000 for j in range(10_000)] + [1e304]
+    assert all(map(math.isfinite, xs))
+
+
 def test_uniform_grid_unchanged_on_unit_interval():
     for n in (2, 3, 10_001, 20_001, 69_240):
         assert list(uniform_grid(0.0, 1.0, n)) == [0.0 + (1.0 - 0.0) * j / (n - 1) for j in range(n)]
