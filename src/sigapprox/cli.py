@@ -48,11 +48,15 @@ def _emit(lines: list[tuple[str, Any]], as_json: bool) -> None:
             print(f"{key} = {value}")
 
 
-def _build_spec(args: argparse.Namespace) -> FunctionSpec:
-    for flag in ("a", "b", "eps", "lipschitz", "sup", "delta"):
+def _check_finite(args: argparse.Namespace, *flags: str) -> None:
+    for flag in flags:
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{flag} must be finite, got {value!r}")
+
+
+def _build_spec(args: argparse.Namespace) -> FunctionSpec:
+    _check_finite(args, "a", "b", "eps", "lipschitz", "sup", "delta")
     if args.a >= args.b:
         raise UsageError(f"need --a < --b, got {args.a!r} >= {args.b!r}")
     if args.eps <= 0.0:
@@ -137,6 +141,7 @@ def cmd_approximate(args: argparse.Namespace) -> int:
 def cmd_derivative(args: argparse.Namespace) -> int:
     if args.n < 0 or args.n > MAX_DERIVATIVE_ORDER:
         raise UsageError(f"--n must lie in 0..{MAX_DERIVATIVE_ORDER}")
+    _check_finite(args, "x")
     value = sigmoid_nth_derivative(args.n, args.x)
     _emit([("n", args.n), ("x", args.x), ("value", value)], args.json)
     return EXIT_OK
@@ -158,9 +163,12 @@ def cmd_stirling(args: argparse.Namespace) -> int:
 def cmd_saturation(args: argparse.Namespace) -> int:
     if args.n < 3:
         raise UsageError("--n must be at least 3")
+    _check_finite(args, "h")
     if args.h <= 0.0:
         raise UsageError("--h must be positive")
     slope = sigmoid_saturation_slope(args.h, args.n)
+    if slope.omega == math.inf:
+        raise ValueError(f"omega = ln(N - 1)/h overflows for h = {args.h!r}")
     lines = [
         ("h", slope.h),
         ("n", args.n),

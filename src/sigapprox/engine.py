@@ -302,10 +302,15 @@ class SigmoidApproximant:
         return (self.coeff0,) + self.coeffs
 
     @cached_property
-    def _prefix(self) -> tuple[float, ...]:
+    def _prefix(self) -> array:
         # prefix[u] = left-fold of unit coefficients 0..u; identical to the
-        # naive ascending accumulation when every skipped sigmoid is 1.0
-        return tuple(accumulate(self.unit_coeffs))
+        # naive ascending accumulation when every skipped sigmoid is 1.0.
+        # Packed doubles, 8 bytes each against 32 for a float in a tuple:
+        # `evaluate` and `surrogate_L` read one entry per call.  The centers
+        # and coefficients stay tuples, because the bisect and the unit
+        # loop read many entries per call, and each read from an array
+        # makes a new float object.
+        return array("d", accumulate(self.unit_coeffs))
 
     @cached_property
     def _cmax(self) -> float:
@@ -314,10 +319,11 @@ class SigmoidApproximant:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """`evaluate`'s per-network constants, read in one go: w, centers,
-        unit coefficients, prefix sums, tail = cmax*D, the window offsets
-        POS_CUTOFF/w and NEG_CUTOFF/w, cmax, the lookahead's floor and the
-        range [xlo, xhi] of x that needs no check beyond being in it.
+        """`evaluate`'s per-network constants, read in one go: w, centers
+        and unit coefficients (tuples), prefix sums (packed doubles, see
+        `_prefix`), tail = cmax*D, the window offsets POS_CUTOFF/w and
+        NEG_CUTOFF/w, cmax, the lookahead's floor and the range
+        [xlo, xhi] of x that needs no check beyond being in it.
         D = min(1, 2*exp(-w*gap)*LOOKAHEAD_SLACK) with gap the smallest
         difference of consecutive centers, taken from the stored doubles.
         The range is [-MAX, MAX] unless the window offsets exceed MAX/4,

@@ -322,6 +322,22 @@ def test_saturation_rejects_small_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["derivative", "--n", "2", "--x"],
+                                  ["saturation", "--n", "3", "--h"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_x_and_h_exit_2(capsys, argv, value):
+    *argv, flag = argv
+    code, out, err = run(capsys, argv + [f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+
+
+def test_saturation_slope_overflow_exits_3(capsys):
+    code, out, err = run(capsys, ["saturation", "--n", "5", "--h", "1e-320"])
+    assert (code, out) == (3, "")
+    assert err == "error: omega = ln(N - 1)/h overflows for h = 1e-320\n"
+
+
 def test_grammar_help_lists_the_functions():
     assert "functions: abs, sin, cos, exp, ln, sqrt;" in GRAMMAR_HELP
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -312,6 +313,23 @@ def test_build_set_up_folds_match_the_loops_they_replace():
         acc += c
         prefix.append(acc)
     assert [v.hex() for v in g._prefix] == [v.hex() for v in prefix]
+
+
+def test_g_holds_at_most_104_bytes_per_unit():
+    # the prefix sums are packed doubles, 8 bytes a unit: G takes about 96
+    # bytes a unit here, and took 120 with the prefix a tuple of floats
+    spec = FunctionSpec.from_text("x", 0, 1, lipschitz=1, sup_bound=1)
+    recipe = compute_recipe(spec, 4e-4)
+    assert recipe.n == 25_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = build_approximant(spec, recipe)
+        evaluate(g, 0.5)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert size / g.unit_count <= 104
 
 
 def test_telescoping():
