@@ -163,6 +163,8 @@ def cmd_stirling(args: argparse.Namespace) -> int:
 def cmd_saturation(args: argparse.Namespace) -> int:
     if args.n < 3:
         raise UsageError("--n must be at least 3")
+    if args.n > sys.float_info.max:
+        raise UsageError(f"--n must be at most {sys.float_info.max!r}, the largest double")
     _check_finite(args, "h")
     if args.h <= 0.0:
         raise UsageError("--h must be positive")

@@ -12,6 +12,14 @@ tighter than unary minus.  Implicit multiplication is not supported.  The
 exponent of '^' must be a constant expression (no 'x'), which keeps the
 Lipschitz estimator sane.  Functions: abs, sin, cos, exp, ln, sqrt.  Every
 reader below takes the operators from one table, `OPS`.
+
+f is evaluated by closures: each `FunctionSpec` turns its AST once, on
+its first call, into one closure per node, and every later call of f runs
+those closures with no type dispatch.  An op's closure evaluates its
+operands left to right and then makes the op's `OPS` call, so it does the
+same float operations in the same order as a walk of the tree.
+`evaluate_ast(node, x)` builds the closures of `node` and calls them: the
+library has one evaluator.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 from .partition import uniform_grid
@@ -118,8 +127,8 @@ def _real_pow(base: float, exponent: float) -> float:
 
 
 # The operator table: node op name -> (arity, spelling in source text,
-# call, message).  When the call raises one of _DOMAIN_ERRORS,
-# `evaluate_ast` raises EvalDomainError(message), or lets the exception
+# call, message).  When the call raises one of _DOMAIN_ERRORS, the
+# evaluator raises EvalDomainError(message), or lets the exception
 # through if message is None.  `/`, log and sqrt raise on exactly the
 # inputs outside their domain: x/0.0 and x/-0.0, log of zero or below,
 # sqrt below -0.0 (sqrt(-0.0) is -0.0).  nan passes through all three.
@@ -267,37 +276,54 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
+def _closure(node: Node) -> Callable[[float], float]:
+    """x -> the value of `node` at x: one closure per node, built once.
+    An op's closure evaluates its operands left to right and then calls
+    the op's `OPS` entry; only that call sits inside the try."""
+    kind = type(node)
+    if kind is Var:
+        return lambda x: x
+    if kind is Pi or kind is Const:
+        value = math.pi if kind is Pi else node.value
+        return lambda x: value
+    _, _, fn, message = OPS[node.op]
+    if kind is Unary:
+        operand = _closure(node.operand)
+        if message is None:
+            return lambda x: fn(operand(x))
+
+        def unary(x: float) -> float:
+            value = operand(x)
+            try:
+                return fn(value)
+            except _DOMAIN_ERRORS:
+                raise EvalDomainError(message, node, x) from None
+
+        return unary
+    left = _closure(node.left)
+    right = _closure(node.right)
+    if message is None:
+        return lambda x: fn(left(x), right(x))
+
+    def binary(x: float) -> float:
+        lhs = left(x)
+        rhs = right(x)
+        try:
+            return fn(lhs, rhs)
+        except _DOMAIN_ERRORS:
+            raise EvalDomainError(message, node, x) from None
+
+    return binary
+
+
 def evaluate_ast(node: Node, x: float) -> float:
     """Evaluate with standard real semantics, each op by its `OPS` entry.
     Leaving the real domain (division by zero, ln or sqrt outside its
     domain, exp or '^' overflowing, sin or cos of infinity) raises
     EvalDomainError.  Other arithmetic can overflow to inf or nan here;
-    `FunctionSpec` checks the result."""
-    kind = type(node)
-    if kind is Binary:
-        left = evaluate_ast(node.left, x)
-        right = evaluate_ast(node.right, x)
-        _, _, fn, message = OPS[node.op]
-        try:
-            return fn(left, right)
-        except _DOMAIN_ERRORS:
-            if message is None:
-                raise
-            raise EvalDomainError(message, node, x) from None
-    if kind is Unary:
-        value = evaluate_ast(node.operand, x)
-        _, _, fn, message = OPS[node.op]
-        try:
-            return fn(value)
-        except _DOMAIN_ERRORS:
-            if message is None:
-                raise
-            raise EvalDomainError(message, node, x) from None
-    if kind is Var:
-        return x
-    if kind is Pi:
-        return math.pi
-    return node.value
+    `FunctionSpec` checks the result.  Builds the closures for `node` on
+    every call: `FunctionSpec` builds them once and keeps them."""
+    return _closure(node)(x)
 
 
 def _post_order(node: Node) -> Iterator[Node]:
@@ -387,13 +413,25 @@ class FunctionSpec:
             text=text,
         )
 
+    @cached_property
+    def _evaluate(self) -> Callable[[float], float]:
+        """The closure of `ast`, built on the first call of f."""
+        return _closure(self.ast)
+
+    def __getstate__(self) -> dict:
+        # the closure does not pickle; the copy builds its own on demand
+        state = dict(self.__dict__)
+        state.pop("_evaluate", None)
+        return state
+
     def __call__(self, x: float) -> float:
-        """f(x) by `evaluate_ast`.  A result that is not finite raises
+        """f(x) by the closure of `ast`: the value, or the exception, that
+        `evaluate_ast` gives.  A result that is not finite raises
         EvalDomainError("overflow ...") carrying the first node, in
         evaluation order, whose value is not finite.  Only the result is
         checked: a finite result reached through an infinite intermediate,
         such as 1/(1e300*x*1e300) = 0.0 at x = 1, is returned as it is."""
-        value = evaluate_ast(self.ast, x)
+        value = self._evaluate(x)
         if not math.isfinite(value):
             node = next(
                 n for n in _post_order(self.ast) if not math.isfinite(evaluate_ast(n, x))

@@ -10,6 +10,7 @@ closed formula (one multiply each), not cumulative addition: no drift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
@@ -51,20 +52,14 @@ def unif_part(a: float, b: float, n: int) -> UniformPartition:
 def select_index(p: UniformPartition, x: float) -> int:
     """max{i in 1..N : points[i] <= x}, so that x lies in [x_i, x_{i+1}].
 
-    O(1): arithmetic floor((x - a)/h) + 1 clamped to [1, N], then corrected
-    against the stored points to be immune to floating-point boundary ties.
+    A bisection of the stored points x_1..x_N, which are nondecreasing, so
+    floating-point ties at a knot and repeated points both resolve to the
+    largest such i.
     """
     x = float(x)
     if not (p.a <= x <= p.b):
         raise ValueError(f"x={x!r} outside [{p.a!r}, {p.b!r}]")
-    n = p.n_intervals
-    i = int(math.floor((x - p.a) / p.h)) + 1
-    i = max(1, min(n, i))
-    while i > 1 and p.points[i] > x:
-        i -= 1
-    while i < n and p.points[i + 1] <= x:
-        i += 1
-    return i
+    return bisect_right(p.points, x, 1, p.n_intervals + 1) - 1
 
 
 def uniform_grid(a: float, b: float, n: int) -> Iterator[float]:

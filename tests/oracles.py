@@ -2,16 +2,17 @@
 
 These deliberately avoid the library's own code paths: set partitions are
 enumerated by brute force, and derivatives come from nested central
-differences evaluated in high-precision arithmetic (mpmath), so agreement
-with the closed-form implementations is meaningful.  The one exception is
-`reference_G`, which defines what "bit-identical" means for the evaluator
-and so must use the library's own sigmoid.  The grid references spell the
-grid formula out rather than calling the library's generator, the
-network document's layout is whatever the json module makes of it, N
-is the paper's formula in rational arithmetic, written out apart from the
-recipe code, the samples CSV is what a second, separate walk of the
-grid writes, and expressions are evaluated by a chain of per-op branches
-with explicit domain checks instead of the library's operator table.
+differences or the polylogarithm, evaluated in high-precision arithmetic
+(mpmath), so agreement with the closed-form implementations is meaningful.
+The one exception is `reference_G`, which defines what "bit-identical"
+means for the evaluator and so must use the library's own sigmoid.  The
+grid references spell the grid formula out rather than calling the
+library's generator, the network document's layout is whatever the json
+module makes of it, N is the paper's formula in rational arithmetic,
+written out apart from the recipe code, the samples CSV is what a second,
+separate walk of the grid writes, and expressions are evaluated by a chain
+of per-op branches with explicit domain checks instead of the library's
+operator table.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def nested_central_derivative(n: int, x: float, dps: int = 60) -> float:
         for _ in range(n):
             f = richardson(f)
         return float(f(mp.mpf(x)))
+
+
+def mp_sigmoid_derivative(n: int, x: float) -> float:
+    """nth derivative, n >= 1, of the logistic sigmoid at x > 0 by
+    mpmath's polylogarithm.  For x > 0, sigma(x) = sum_{m>=0} (-e^-x)^m;
+    differentiating term by term n times gives
+    sigma^(n)(x) = (-1)^n Li_{-n}(-e^-x), with no Stirling numbers and no
+    reflection.  The working precision grows with x, so that the terms'
+    cancellation never reaches the digits kept."""
+    with mp.workdps(60 + math.ceil(x / math.log(10))):
+        return float((-1) ** n * mp.polylog(-n, -mp.exp(-mp.mpf(x))))
 
 
 def richardson_diff(f: Callable[[float], float], x: float, h: float = 1e-3) -> float:

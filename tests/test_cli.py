@@ -278,6 +278,16 @@ def test_derivative_values(capsys):
     assert code == 0 and parse_lines(out)["value"] == "0.25"
 
 
+@pytest.mark.parametrize("n, x, expected", [("25", "20", 1.9186e-9),
+                                            ("30", "50", -1.9287e-22),
+                                            ("30", "0", 0.0)])
+def test_derivative_keeps_its_digits_right_of_zero(capsys, n, x, expected):
+    # the sum taken at x > 0 printed -5.8e12, -2.7e20 and -4.5e13 here
+    code, out, _ = run(capsys, ["derivative", "--n", n, "--x", x])
+    assert code == 0
+    assert float(parse_lines(out)["value"]) == pytest.approx(expected, rel=1e-4)
+
+
 def test_derivative_rejects_check_flag(capsys):
     # the finite-difference cross-check left the CLI; test_sigmoid.py checks
     # the derivatives against mpmath and against differencing
@@ -330,6 +340,17 @@ def test_non_finite_x_and_h_exit_2(capsys, argv, value):
     code, out, err = run(capsys, argv + [f"{flag}={value}"])
     assert (code, out) == (2, "")
     assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+
+
+def test_saturation_n_too_large_for_a_double_exits_2(capsys):
+    # float(n) used to raise OverflowError, which left a traceback and exit 1
+    code, out, err = run(capsys, ["saturation", "--n", "1" + "0" * 400, "--h", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --n must be at most {sys.float_info.max!r}, the largest double\n"
+    # the largest double itself is accepted
+    code, out, _ = run(capsys, ["saturation", "--n", str(int(sys.float_info.max)), "--h", "1"])
+    assert code == 0
+    assert float(parse_lines(out)["omega"]) == pytest.approx(math.log(sys.float_info.max))
 
 
 def test_saturation_slope_overflow_exits_3(capsys):

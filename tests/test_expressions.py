@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -251,6 +252,19 @@ def test_evaluate_edge_cases(text, x, expected):
         assert got == expected
     else:
         assert got[:2] == (EvalDomainError, f"{expected} (at x={x!r})")
+
+
+def test_function_spec_pickles_before_and_after_a_call():
+    spec = FunctionSpec.from_text(WIGGLY, 0, 1, lipschitz=7.0)
+    xs = [j / 7 for j in range(8)]
+    before = pickle.loads(pickle.dumps(spec))
+    values = [spec(x).hex() for x in xs]
+    # the first call built the closure, which the pickled state leaves out
+    after = pickle.loads(pickle.dumps(spec))
+    for copy in (before, after):
+        assert copy == spec
+        assert [copy(x).hex() for x in xs] == values
+        assert pickle.loads(pickle.dumps(copy)) == spec
 
 
 # --- estimators ----------------------------------------------------------

@@ -155,6 +155,32 @@ def test_select_index_matches_linear_scan():
             assert p.points[i] <= x <= p.points[i + 1]
 
 
+# a few ulps wide, so that neighbouring points round to the same double
+crowded_strategy = st.builds(
+    lambda a, ulps, n: (a, ulps * math.ulp(a), n),
+    st.floats(min_value=1.0, max_value=1e300),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=200),
+)
+
+
+@given(st.one_of(interval_strategy, crowded_strategy), st.floats(min_value=0.0, max_value=1.0))
+def test_select_index_matches_brute_force(params, frac):
+    a, width, n = params
+    p = unif_part(a, a + width, n)
+    inside = min(max(p.a + frac * (p.b - p.a), p.a), p.b)
+    for x in (p.a, p.b, inside, *p.points[1:]):
+        assert select_index(p, x) == linear_scan_index(p.points, n, x)
+
+
+def test_select_index_with_repeated_points():
+    # h = 0.08 is under half an ulp of a = 1e16: the 52 points round to
+    # x_0..x_13 = a, x_14..x_38 = a + 2 and x_39..x_51 = a + 4 = b
+    p = unif_part(1e16, 1e16 + 4, 50)
+    assert sorted(set(p.points)) == [1e16, 1e16 + 2, 1e16 + 4]
+    assert [select_index(p, x) for x in (1e16, 1e16 + 2, 1e16 + 4)] == [13, 38, 50]
+
+
 @given(interval_strategy, st.floats(min_value=0.0, max_value=1.0))
 def test_select_index_round_trip(params, frac):
     a, width, n = params

@@ -15,7 +15,7 @@ from sigapprox.sigmoid import (
     sigmoid_nth_derivative,
 )
 
-from oracles import nested_central_derivative, richardson_diff
+from oracles import mp_sigmoid_derivative, nested_central_derivative, richardson_diff
 
 
 def ulps_apart(a: float, b: float) -> float:
@@ -127,6 +127,30 @@ def test_derivatives_vanish_far_out():
     for n in range(1, 7):
         for x in (40.0, -40.0):
             assert abs(sigmoid_nth_derivative(n, x)) < 1e-12
+
+
+@pytest.mark.parametrize("x", [2.0, 20.0, 37.0, 50.0, 700.0])
+def test_nth_derivative_right_of_zero_against_mpmath(x):
+    # the closed form summed at x itself lost every digit here: n = 25 at
+    # x = 20 gave -5.8e12 for 1.92e-9, n = 30 at x = 50 gave -2.7e20
+    for n in range(1, MAX_DERIVATIVE_ORDER + 1):
+        oracle = mp_sigmoid_derivative(n, x)
+        assert sigmoid_nth_derivative(n, x) == pytest.approx(oracle, rel=1e-8), n
+
+
+def test_nth_derivative_reflects_about_zero():
+    for n in range(1, MAX_DERIVATIVE_ORDER + 1):
+        for x in (0.3, 2.0, 45.0):
+            sign = -1.0 if n % 2 == 0 else 1.0
+            assert sigmoid_nth_derivative(n, x) == sign * sigmoid_nth_derivative(n, -x)
+
+
+def test_even_derivatives_vanish_at_zero():
+    for n in range(2, MAX_DERIVATIVE_ORDER + 1, 2):
+        assert sigmoid_nth_derivative(n, 0.0) == 0.0
+        assert sigmoid_nth_derivative(n, -0.0) == 0.0
+    assert sigmoid_nth_derivative(0, 0.0) == 0.5
+    assert sigmoid_nth_derivative(1, 0.0) == 0.25
 
 
 def test_order_cap():
