@@ -37,9 +37,10 @@ from typing import Callable, Iterator, Optional
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
 from .limits import sigmoid_saturation_slope
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
-# `evaluate` and `surrogate_L` pass the sigmoid only finite arguments (see
-# `evaluate`'s docstring), so this module's name `sigmoid` is the kernel
-# without the input guard.  They call it through this module-level name:
+# The unit loop `_window_sum`, which `evaluate` and `validate` call, and
+# `surrogate_L` pass the sigmoid only finite arguments (see `evaluate`'s
+# docstring), so this module's name `sigmoid` is the kernel without the
+# input guard.  They call it through this module-level name:
 # wrapping `engine.sigmoid` counts the sigmoid calls per G, as the
 # benchmark's probe and the lookahead tests do.
 from .sigmoid import finite_sigmoid as sigmoid
@@ -319,11 +320,11 @@ class SigmoidApproximant:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """`evaluate`'s per-network constants, read in one go: w, centers
-        and unit coefficients (tuples), prefix sums (packed doubles, see
-        `_prefix`), tail = cmax*D, the window offsets POS_CUTOFF/w and
-        NEG_CUTOFF/w, cmax, the lookahead's floor and the range
-        [xlo, xhi] of x that needs no check beyond being in it.
+        """The per-network constants of `evaluate` and `validate`, read in
+        one go: w, centers and unit coefficients (tuples), prefix sums
+        (packed doubles, see `_prefix`), tail = cmax*D, the window offsets
+        POS_CUTOFF/w and NEG_CUTOFF/w, cmax, the lookahead's floor and the
+        range [xlo, xhi] of x that needs no check beyond being in it.
         D = min(1, 2*exp(-w*gap)*LOOKAHEAD_SLACK) with gap the smallest
         difference of consecutive centers, taken from the stored doubles.
         The range is [-MAX, MAX] unless the window offsets exceed MAX/4,
@@ -375,6 +376,11 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     """G(x), bit-identical to the naive sum over all units in ascending
     center order.  Evaluation outside [a, b] is permitted; the certificate
     only covers the inside.
+
+    `evaluate` finds x's sigmoid window with two bisections of the
+    centers and passes it to `_window_sum`, the one copy of the unit loop.
+    `validate` calls the same loop, with windows it walks along its
+    ascending points instead of bisecting at each one.
 
     Three shortcuts skip units without changing a bit of the result:
 
@@ -442,12 +448,22 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     an x at which x - c overflows for a unit in the window; the guarded
     sigmoid refused such an x as well, once the loop reached that unit.
     """
-    w, centers, coeffs, prefix, tail, pos, neg, cmax, floor, xlo, xhi = g._kernel
+    kernel = g._kernel
+    _, centers, _, _, _, pos, neg, _, _, xlo, xhi = kernel
     x = float(x)
     lo = bisect_left(centers, x - pos)
     hi = bisect_right(centers, x - neg)
     if not xlo <= x <= xhi:
         _check_window(x, centers, lo, hi)
+    return _window_sum(kernel, x, lo, hi)
+
+
+def _window_sum(kernel: tuple, x: float, lo: int, hi: int) -> float:
+    """G(x) from the window centers[lo:hi] that `evaluate` or `validate`
+    found for x: the prefix sum of the units left of it, then the unit
+    loop with its exact early exit (see `evaluate`).  This is the only
+    copy of the loop."""
+    w, centers, coeffs, prefix, tail, _, _, cmax, floor, _, _ = kernel
     sig = sigmoid
     ulp = math.ulp
     acc = prefix[lo - 1] if lo > 0 else 0.0
@@ -499,7 +515,21 @@ def validate(
 
     A G that evaluates to inf or nan fails: the first point where |G - f|
     is not finite gives sup_error and argmax_x, and no later point
-    replaces it."""
+    replaces it.
+
+    G's sigmoid window is walked, not bisected.  lo and hi start at 0; at
+    each distinct point x, lo moves right while centers[lo] < fl(x - pos)
+    and hi while centers[hi] <= fl(x - neg).  The distinct points strictly
+    ascend and rounding is monotone, so fl(x - pos) and fl(x - neg) never
+    decrease from one point to the next: every center left of lo or hi
+    passed its test at an earlier point and passes it again.  The centers
+    ascend, so each walk stops at the first center that fails its test,
+    which is bisect_left(centers, x - pos) for lo and
+    bisect_right(centers, x - neg) for hi: the window `evaluate` bisects.
+    `_check_window` runs under the same condition as there, and G(x) comes
+    from the same unit loop, `_window_sum`, so it is the double `evaluate`
+    returns.  Neither index moves left, so the walk costs O(N + points)
+    comparisons in all, where bisecting costs O(log N) at every point."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if epsilon <= 0.0:
@@ -508,6 +538,10 @@ def validate(
     built = g.built_from
     values = built[1] if built is not None and built[0] is spec else repeat(None)
     knots = ((p, v) for p, v in zip(islice(g.partition.points, 1, None), values) if a < p < b)
+    kernel = g._kernel
+    _, centers, _, _, _, pos, neg, _, _, xlo, xhi = kernel
+    end = len(centers)
+    lo = hi = 0
     sup = -1.0
     argmax = a
     count = 0
@@ -519,7 +553,15 @@ def validate(
             prev = x
             count += 1
             fx = spec(x) if known is None else known
-            gx = evaluate(g, x)
+            start = x - pos
+            while lo < end and centers[lo] < start:
+                lo += 1
+            stop = x - neg
+            while hi < end and centers[hi] <= stop:
+                hi += 1
+            if not xlo <= x <= xhi:
+                _check_window(x, centers, lo, hi)
+            gx = _window_sum(kernel, x, lo, hi)
             err = abs(gx - fx)
             # `not <=` is also true for nan; once sup is inf or nan it stays
             if not err <= sup and math.isfinite(sup):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from typing import IO, Any, Callable, Iterable, Iterator, Union
 
@@ -33,6 +34,7 @@ __all__ = [
 FORMAT_VERSION = "1"
 UNIT_KEYS = ("hidden_weight", "hidden_bias", "output_coefficient")
 SAMPLES_HEADER = "x,f,g,abs_err"
+_MAX = sys.float_info.max
 
 Destination = Union[str, os.PathLike, IO[str]]
 
@@ -92,27 +94,31 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     The partition is reconstructed from (a, b, N) via the same closed
     formula used at build time, so the rebuilt network evaluates
     bit-identically to the original.  The loader checks what only the
-    document can get wrong: N must be an int, the unit count must be
-    N + 1, and every unit must hold unit 0's hidden weight w and the bias
-    -w * x_k that `to_network_document` wrote, bit for bit; a unit that
-    fails raises ValueError naming it.  The slope, unit 0's hidden weight,
-    goes through `SigmoidApproximant.check_slope` before any unit is
-    compared, and the network through `SigmoidApproximant`, which refuses
-    an output coefficient that is not finite; both raise RecipeError, a
-    ValueError."""
+    document can get wrong: N must be an int, a and b and each unit's
+    three numbers must be ints or floats (not bools, strings or null),
+    the unit count must be N + 1, and every unit must be an object that
+    holds unit 0's hidden weight w and the bias -w * x_k that
+    `to_network_document` wrote, bit for bit.  A document that fails
+    raises ValueError naming the metadata key, or the unit and its key.
+    The slope, unit 0's hidden weight, goes through
+    `SigmoidApproximant.check_slope` before any unit is compared, and the
+    network through `SigmoidApproximant`, which refuses an output
+    coefficient that is not finite; both raise RecipeError, a ValueError."""
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":
         raise ValueError(f"unsupported activation {doc.get('activation')!r}")
-    meta = doc["metadata"]
-    units = doc["units"]
-    n = meta["N"]
+    meta, units = doc.get("metadata"), doc.get("units")
+    a, b = _number(meta, "a", "metadata"), _number(meta, "b", "metadata")
+    n = meta.get("N")
     if type(n) is not int:
         raise ValueError(f"N must be an integer, got {n!r}")
+    if type(units) is not list:
+        raise ValueError(f"units is {units!r}, not a list")
     if len(units) != n + 1:
         raise ValueError(f"expected {n + 1} units, document has {len(units)}")
-    p = unif_part(float(meta["a"]), float(meta["b"]), n)
-    w = float(units[0]["hidden_weight"])
+    p = unif_part(a, b, n)
+    w = float(_number(units[0], "hidden_weight", "unit 0"))
     # a nan slope would fail unit 0's own weight check and an inf one its
     # bias check, so the slope is refused by name before either
     SigmoidApproximant.check_slope(w)
@@ -122,17 +128,49 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     neg_w = -w
     coeffs = []
     for unit, center in zip(units, centers):
-        bias, want = unit["hidden_bias"], neg_w * center
-        if unit["hidden_weight"] != w:
-            raise ValueError(f"unit {len(coeffs)} has hidden_weight "
-                             f"{unit['hidden_weight']!r}, unit 0 has {w!r}")
+        try:
+            weight, bias, coeff = (unit["hidden_weight"], unit["hidden_bias"],
+                                   unit["output_coefficient"])
+        except (KeyError, TypeError):
+            # not an object, or a key missing: `_number` says which
+            for key in UNIT_KEYS:
+                _number(unit, key, f"unit {len(coeffs)}")
+            raise
+        # != refuses all but a number equal to the float it is compared
+        # with.  Among those, True equals 1.0 and False 0.0, so the two
+        # bools are refused by identity, which costs less than a type test
+        # per unit
+        want = neg_w * center
+        if weight != w or weight is True:
+            raise ValueError(f"unit {len(coeffs)} has hidden_weight {weight!r}, unit 0 has {w!r}")
         # == alone would take a bias of 0.0 for -0.0
-        if bias != want or (not bias and math.copysign(1.0, bias) != math.copysign(1.0, want)):
+        if bias != want or bias is True or not bias and (
+                bias is False or math.copysign(1.0, bias) != math.copysign(1.0, want)):
             raise ValueError(f"unit {len(coeffs)} has hidden_bias {bias!r}, "
                              f"-w * x_k is {want!r}")
-        coeffs.append(float(unit["output_coefficient"]))
+        if type(coeff) is not float:
+            coeff = float(_number(unit, "output_coefficient", f"unit {len(coeffs)}"))
+        coeffs.append(coeff)
     coeff0, *rest = coeffs
     return SigmoidApproximant(w=w, partition=p, coeff0=coeff0, coeffs=tuple(rest))
+
+
+def _number(record: Any, key: str, where: str) -> Union[int, float]:
+    """record[key] if it is a float, or an int a double can hold; a bool
+    is neither.  ValueError naming `where` and the key otherwise, or
+    saying that `record` is not an object."""
+    if type(record) is not dict:
+        raise ValueError(f"{where} is {record!r}, not an object")
+    if key not in record:
+        raise ValueError(f"{where} has no {key}")
+    value = record[key]
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise ValueError(f"{where} has {key} {value!r}, which is not a number")
+    if not -_MAX <= value <= _MAX:
+        raise ValueError(f"{where} has {key} {value!r}, which no double can hold")
+    return value
 
 
 def _open_destination(destination: Destination):

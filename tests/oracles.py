@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: set partitions are
 enumerated by brute force, and derivatives come from nested central
 differences or the polylogarithm, evaluated in high-precision arithmetic
 (mpmath), so agreement with the closed-form implementations is meaningful.
-The one exception is `reference_G`, which defines what "bit-identical"
-means for the evaluator and so must use the library's own sigmoid.  The
+The exceptions are `reference_G`, which defines what "bit-identical"
+means for the evaluator and so must use the library's own sigmoid, and
+`reference_validate`, the validation walk as it was before it walked the
+sigmoid window: it calls `evaluate`, which bisects at every point.  The
 grid references spell the grid formula out rather than calling the
 library's generator, the network document's layout is whatever the json
 module makes of it, N is the paper's formula in rational arithmetic,
@@ -21,13 +23,15 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Any, Callable, Iterator, Optional
 
 import mpmath as mp
 
-from sigapprox.engine import validate
+from sigapprox.engine import ErrorReport, _with_knots, evaluate, validate
 from sigapprox.export import write_samples
 from sigapprox.expressions import Binary, Const, EvalDomainError, Pi, Unary, Var
+from sigapprox.partition import uniform_grid
 from sigapprox.sigmoid import sigmoid
 
 
@@ -87,13 +91,14 @@ def nested_central_derivative(n: int, x: float, dps: int = 60) -> float:
 
 
 def mp_sigmoid_derivative(n: int, x: float) -> float:
-    """nth derivative, n >= 1, of the logistic sigmoid at x > 0 by
-    mpmath's polylogarithm.  For x > 0, sigma(x) = sum_{m>=0} (-e^-x)^m;
+    """nth derivative, n >= 1, of the logistic sigmoid at x by mpmath's
+    polylogarithm.  For x > 0, sigma(x) = sum_{m>=0} (-e^-x)^m;
     differentiating term by term n times gives
     sigma^(n)(x) = (-1)^n Li_{-n}(-e^-x), with no Stirling numbers and no
-    reflection.  The working precision grows with x, so that the terms'
-    cancellation never reaches the digits kept."""
-    with mp.workdps(60 + math.ceil(x / math.log(10))):
+    reflection.  Li_{-n} is a rational function, so the identity holds for
+    every real x.  The working precision grows with x > 0, so that the
+    terms' cancellation never reaches the digits kept."""
+    with mp.workdps(60 + math.ceil(max(x, 0.0) / math.log(10))):
         return float((-1) ** n * mp.polylog(-n, -mp.exp(-mp.mpf(x))))
 
 
@@ -117,6 +122,43 @@ def reference_G(g, x: float) -> float:
     for c, center in zip(coeffs, centers):
         acc += c * sigmoid(g.w * (x - center))
     return acc
+
+
+def reference_validate(g, spec, epsilon: float, grid_size: int, row=None) -> ErrorReport:
+    """`engine.validate` with G from `evaluate` at every distinct point:
+    the same ErrorReport and the same row(x, f(x), G(x)) calls, or the same
+    exception."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    a, b = spec.interval.a, spec.interval.b
+    built = g.built_from
+    values = built[1] if built is not None and built[0] is spec else repeat(None)
+    knots = ((p, v) for p, v in zip(islice(g.partition.points, 1, None), values) if a < p < b)
+    sup = -1.0
+    argmax = a
+    count = 0
+    prev = fx = gx = math.nan
+    for x, on_grid, known in _with_knots(uniform_grid(a, b, grid_size), knots):
+        if x != prev:
+            prev = x
+            count += 1
+            fx = spec(x) if known is None else known
+            gx = evaluate(g, x)
+            err = abs(gx - fx)
+            if not err <= sup and math.isfinite(sup):
+                sup = err
+                argmax = x
+        if on_grid and row is not None:
+            row(x, fx, gx)
+    return ErrorReport(
+        grid_size=count,
+        sup_error=sup,
+        argmax_x=argmax,
+        target_epsilon=float(epsilon),
+        passed=sup < epsilon,
+    )
 
 
 def reference_uniform_grid(a: float, b: float, grid_size: int) -> list[float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sigapprox import engine
 from sigapprox.engine import (
@@ -34,6 +35,7 @@ from oracles import (
     exact_recipe_n,
     leftmost_sup,
     reference_G,
+    reference_validate,
     reference_validation_grid,
 )
 
@@ -720,6 +722,76 @@ def test_validate_reports_leftmost_tie():
     assert (rep.sup_error, rep.argmax_x) == (0.0, 0.0)
 
 
+@st.composite
+def _walk_cases(draw):
+    """(G, spec, grid_size) for validating with windows walked and with
+    windows bisected.  Intervals are ordinary, a few ulps wide, where
+    partition and grid points repeat, or nearly as wide as the doubles.
+    G is built from f or made by hand, with slopes below about 1.7e-305
+    among them, which send every point through `_check_window`."""
+    shape = draw(st.sampled_from(["ordinary", "ulps", "small-w", "huge"]))
+    if shape == "huge":
+        # x - x_0 at x = b, b - a + h, overflows for some and not others
+        n = draw(st.integers(3, 6))
+        a, b = -draw(st.floats(0.6e308, 0.85e308)), draw(st.floats(0.6e308, 0.85e308))
+        grid = draw(st.integers(2, 3))  # a larger grid's spacing overflows
+    else:
+        n = draw(st.integers(3, 40 if shape == "small-w" else 2000))
+        a = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-3, 10.0))
+        if shape == "ulps":
+            b = a
+            for _ in range(draw(st.integers(1, 6))):
+                b = math.nextafter(b, math.inf)
+        else:
+            b = a + draw(st.floats(1e-3, 10.0))
+        # coarser than the partition, then up to ten points a cell
+        grid = draw(st.one_of(st.integers(2, n), st.integers(n, 10 * n)))
+    if shape in ("ordinary", "ulps") and draw(st.booleans()):
+        spec = FunctionSpec.from_text(WIGGLY, a, b, lipschitz=WIGGLY_L, sup_bound=2.0)
+        return build_approximant(spec, manual_recipe(a, b, n)), spec, grid
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = unif_part(a, b, n)
+    if shape == "small-w":
+        w = draw(st.floats(5e-324, 1.6e-305))
+    elif shape == "huge":
+        w = draw(st.floats(5e-324, 2e-308))  # the window holds every unit
+    else:
+        w = draw(st.floats(0.1, 40.0)) / p.h
+    g = SigmoidApproximant(w=w, partition=p, coeff0=rng.uniform(-1.0, 1.0),
+                           coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(n)))
+    return g, FunctionSpec.from_text("x", a, b, lipschitz=1.0, sup_bound=1.0), grid
+
+
+def _validation(validator, g, spec, grid):
+    """The report's fields, or the ValueError's message, and the row
+    calls, with every float as its .hex()."""
+    rows = []
+    sink = lambda x, fx, gx: rows.append((x.hex(), fx.hex(), gx.hex()))  # noqa: E731
+    try:
+        report = validator(g, spec, 0.05, grid, row=sink)
+    except ValueError as exc:
+        return str(exc), rows
+    fields = dataclasses.astuple(report)
+    return tuple(v.hex() if type(v) is float else v for v in fields), rows
+
+
+def _overflowing_case():
+    # x - x_0 overflows at x = b, so `_check_window` refuses b
+    p = unif_part(-0.8e308, 0.8e308, 3)
+    g = SigmoidApproximant(w=1e-320, partition=p, coeff0=0.5, coeffs=(0.25, -0.5, 1.0))
+    return g, FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0), 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(_walk_cases())
+@example(_overflowing_case())
+def test_validate_walks_to_the_windows_evaluate_bisects(case):
+    g, spec, grid = case
+    got = _validation(validate, g, spec, grid)
+    assert got == _validation(reference_validate, g, spec, grid)
+    assert isinstance(got[0], tuple) or "too far from the unit centers" in got[0]
+
+
 def _hand_network(coeffs, wh=math.log(3.0), coeff0=0.0):
     p = unif_part(0.0, 1.0, len(coeffs))
     return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=coeff0, coeffs=tuple(coeffs))
@@ -759,10 +831,10 @@ def test_the_network_where_the_oracle_and_evaluate_disagreed_cannot_be_made():
 
 def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
     # as a network with a +inf and a -inf weight would, G is nan at every
-    # point; no such network can be made, so the evaluator is replaced
+    # point; no such network can be made, so the unit loop is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    monkeypatch.setattr(engine, "evaluate", lambda g, x: math.nan)
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, hi: math.nan)
     rep = validate(g, spec, 0.2, 11)
     assert rep.passed is False
     assert math.isnan(rep.sup_error)
@@ -772,12 +844,12 @@ def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
 def test_validate_keeps_the_first_infinite_error(monkeypatch):
     # G is finite left of x = 0.56, inf up to 0.81 and nan beyond, as when
     # a steep network's +inf and then -inf unit wake; no such network can
-    # be made, so the evaluator is replaced
+    # be made, so the unit loop, which `evaluate` calls too, is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    real = engine.evaluate
-    monkeypatch.setattr(engine, "evaluate", lambda g, x: (
-        real(g, x) if x < 0.56 else math.inf if x < 0.81 else math.nan))
+    real = engine._window_sum
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, hi: (
+        real(kernel, x, lo, hi) if x < 0.56 else math.inf if x < 0.81 else math.nan))
     xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
     errs = [abs(engine.evaluate(g, x) - spec(x)) for x in xs]
     first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
@@ -789,11 +861,11 @@ def test_validate_keeps_the_first_infinite_error(monkeypatch):
 
 def test_validate_a_later_finite_error_does_not_replace_nan(monkeypatch):
     # a G that is nan at one point only cannot be built from weights, so
-    # the evaluator is replaced for the walk
+    # the unit loop is replaced for the walk
     spec = make_spec("0", 1.0, 0.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     monkeypatch.setattr(
-        engine, "evaluate", lambda g, x: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
+        engine, "_window_sum", lambda kernel, x, lo, hi: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
     )
     rep = validate(g, spec, 0.1, 5)
     assert math.isnan(rep.sup_error)

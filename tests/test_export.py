@@ -324,6 +324,78 @@ def test_loader_rejects_an_n_that_is_not_an_int(n):
         approximant_from_document(doc)
 
 
+def _unit_w1_document():
+    """`hand_document`'s network with the slope 1.0, which True equals."""
+    spec, recipe, g = hand_pipeline("x", 0.0, 1.0, 4)
+    return to_network_document(dataclasses.replace(g, w=1.0), recipe, spec)
+
+
+def _set(doc, where, key, value):
+    record = doc["metadata"] if where == "metadata" else doc["units"][where]
+    record[key] = value
+
+
+def _drop(doc, where, key):
+    del doc["units"][where][key]
+
+
+def _replace_unit(doc, where, value):
+    doc["units"][where] = value
+
+
+@pytest.mark.parametrize("make,edit,message", [
+    (None, lambda d: _set(d, 3, "output_coefficient", "0.5"),
+     "unit 3 has output_coefficient '0.5', which is not a number"),
+    (None, lambda d: _set(d, 4, "output_coefficient", True),
+     "unit 4 has output_coefficient True, which is not a number"),
+    (None, lambda d: _set(d, 2, "output_coefficient", None),
+     "unit 2 has output_coefficient None, which is not a number"),
+    (None, lambda d: _set(d, 2, "output_coefficient", [0.25]),
+     r"unit 2 has output_coefficient \[0\.25\], which is not a number"),
+    (None, lambda d: _set(d, 1, "output_coefficient", 10**400),
+     "unit 1 has output_coefficient 1000+, which no double can hold$"),
+    (None, lambda d: _set(d, 0, "hidden_weight", "4.39"),
+     "unit 0 has hidden_weight '4.39', which is not a number"),
+    (None, lambda d: _set(d, 2, "hidden_bias", None), "unit 2 has hidden_bias None"),
+    (None, lambda d: _set(d, 2, "hidden_weight", [1.0]), r"unit 2 has hidden_weight \[1\.0\]"),
+    (_unit_w1_document, lambda d: _set(d, 1, "hidden_weight", True),
+     "unit 1 has hidden_weight True"),
+    (_unit_w1_document, lambda d: _set(d, 0, "hidden_weight", True),
+     "unit 0 has hidden_weight True, which is not a number"),
+    (None, lambda d: _drop(d, 1, "output_coefficient"), "unit 1 has no output_coefficient"),
+    (None, lambda d: _drop(d, 3, "hidden_bias"), "unit 3 has no hidden_bias"),
+    (None, lambda d: _replace_unit(d, 3, [0.25]), r"unit 3 is \[0\.25\], not an object"),
+    (None, lambda d: _replace_unit(d, 0, None), "unit 0 is None, not an object"),
+    (None, lambda d: _set(d, "metadata", "a", "0"), "metadata has a '0', which is not a number"),
+    (None, lambda d: _set(d, "metadata", "b", True), "metadata has b True, which is not a number"),
+    (None, lambda d: d["metadata"].pop("b"), "metadata has no b"),
+    (None, lambda d: d.pop("metadata"), "metadata is None, not an object"),
+    (None, lambda d: d.update(units={}), "units is {}, not a list"),
+])
+def test_loader_accepts_only_numbers_where_numbers_belong(make, edit, message):
+    # float() took strings and bools as numbers: with unit 3's coefficient
+    # "0.5", unit 4's True and metadata a "0" this document loaded, and G
+    # gave 0.5375 at x = 0.5 for the 0.4 of the network as built.  A null,
+    # a list, a missing key or a unit that is not an object raised
+    # TypeError or KeyError
+    doc = (make or (lambda: hand_document("x", 0.0, 1.0, 4)))()
+    approximant_from_document(doc)
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        approximant_from_document(doc)
+
+
+def test_loader_takes_ints_as_the_numbers_they_are():
+    spec, recipe, g = hand_pipeline("x", 0.0, 1.0, 4)
+    doc = to_network_document(g, recipe, spec)
+    doc["metadata"].update(a=0, b=1)
+    doc["units"][2]["output_coefficient"] = 0
+    g0 = approximant_from_document(doc)
+    assert (g0.partition, g0.w) == (g.partition, g.w)
+    assert g0.unit_coeffs == (0.0, 0.25, 0.0, 0.25, 0.25)
+    assert type(g0.unit_coeffs[2]) is float
+
+
 def test_document_validation_errors():
     spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
     doc = to_network_document(g, recipe, spec)

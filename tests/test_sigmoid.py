@@ -138,6 +138,15 @@ def test_nth_derivative_right_of_zero_against_mpmath(x):
         assert sigmoid_nth_derivative(n, x) == pytest.approx(oracle, rel=1e-8), n
 
 
+@pytest.mark.parametrize("x", [v for x in (0.001, 0.1, 0.25, 0.5, 2.0, 20.0) for v in (x, -x)])
+def test_nth_derivative_near_zero_against_mpmath(x):
+    # summed in doubles, the terms of up to 1e35 cancelled to 5.9% off at
+    # n = 30, x = 0.001 and 4.3e-4 at n = 29, x = -0.5
+    for n in range(1, MAX_DERIVATIVE_ORDER + 1):
+        oracle = mp_sigmoid_derivative(n, x)
+        assert sigmoid_nth_derivative(n, x) == pytest.approx(oracle, rel=1e-9), n
+
+
 def test_nth_derivative_reflects_about_zero():
     for n in range(1, MAX_DERIVATIVE_ORDER + 1):
         for x in (0.3, 2.0, 45.0):
