@@ -5,8 +5,8 @@ package computes a sufficient neuron count and slope, builds the explicit
 one-hidden-layer approximant whose output weights are forward differences
 of f, measures the sup-norm error against the certificate, and exports the
 resulting network.  Supporting machinery: exact Stirling numbers, the
-closed-form nth derivative of the sigmoid, epsilon-N limit witnesses, and
-a small expression language for specifying f textually.
+closed-form nth derivative of the sigmoid, the sigmoid's saturation slope,
+and a small expression language for specifying f textually.
 """
 
 from .engine import (
@@ -46,24 +46,9 @@ from .export import (
     write_network_document,
     write_samples,
 )
-from .limits import (
-    LimitWitness,
-    SaturationSlope,
-    boundary_residual,
-    falsify_limit,
-    saturation_slope,
-    sigmoid_saturation_slope,
-    sigmoid_witness_at_bot,
-    sigmoid_witness_at_top,
-)
+from .limits import SaturationSlope, boundary_residual, sigmoid_saturation_slope
 from .partition import UniformPartition, select_index, unif_part
-from .sigmoid import (
-    MAX_DERIVATIVE_ORDER,
-    sigmoid,
-    sigmoid_deriv1,
-    sigmoid_deriv2,
-    sigmoid_nth_derivative,
-)
-from .stirling import StirlingTable, factorial, stirling2, stirling_row
+from .sigmoid import MAX_DERIVATIVE_ORDER, sigmoid, sigmoid_nth_derivative
+from .stirling import stirling2, stirling_row
 
 __version__ = "0.1.0"

@@ -144,8 +144,8 @@ class DecompositionReport:
 def compute_eta(epsilon: float, m_f: float, m_sigma: float) -> float:
     """eta = eps / (M_f + 2*M_sigma + 2); the denominator is >= 2, so
     eta <= eps/2."""
-    if epsilon <= 0.0:
-        raise RecipeError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise RecipeError("epsilon must be positive and finite")
     if m_f < 0.0 or m_sigma < 0.0:
         raise RecipeError("M_f and M_sigma must be nonnegative")
     return epsilon / (m_f + 2.0 * m_sigma + 2.0)
@@ -532,8 +532,8 @@ def validate(
     comparisons in all, where bisecting costs O(log N) at every point."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
     built = g.built_from
     values = built[1] if built is not None and built[0] is spec else repeat(None)

@@ -1,50 +1,25 @@
-"""Classical epsilon-N limit witnesses and saturation slopes.
-
-A LimitWitness is an explicit threshold realizing "for all x >= N,
-|f(x) - L| < eps" (or the mirrored statement at minus infinity).  For the
-logistic sigmoid the threshold ln(1/eps) works because
-0 < 1 - sigmoid(x) = 1/(1 + e^x) < e^-x.
+"""The sigmoid's saturation slope.
 
 A SaturationSlope is the scale factor omega such that every shifted sigmoid
 sigma(w*(x - c)) with w >= omega is within tolerance of its limit outside a
-collar of half-width h around its center.
+collar of half-width h around its center.  For the logistic sigmoid the
+sharp choice is omega = ln(N-1)/h with tolerance 1/N: since
+1 - sigma(t) = 1/(1 + e^t) and sigma(-t) = 1/(1 + e^t), both are at most
+1/(1 + (N-1)) = 1/N once t >= ln(N-1), and sigma is monotone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .sigmoid import sigmoid
 
 __all__ = [
-    "LimitWitness",
     "SaturationSlope",
-    "sigmoid_witness_at_top",
-    "sigmoid_witness_at_bot",
-    "falsify_limit",
-    "saturation_slope",
     "sigmoid_saturation_slope",
     "boundary_residual",
 ]
-
-AT_TOP = "at_top"
-AT_BOT = "at_bot"
-
-
-@dataclass(frozen=True)
-class LimitWitness:
-    epsilon: float
-    threshold: float
-    direction: str  # AT_TOP or AT_BOT
-    limit_value: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.direction not in (AT_TOP, AT_BOT):
-            raise ValueError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -58,82 +33,6 @@ class SaturationSlope:
             raise ValueError("omega must be positive")
         if self.h <= 0.0 or self.tol <= 0.0:
             raise ValueError("h and tol must be positive")
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    return epsilon
-
-
-def sigmoid_witness_at_top(epsilon: float) -> LimitWitness:
-    """Threshold ln(1/eps): |sigmoid(x) - 1| < eps for all x >= threshold."""
-    epsilon = _check_epsilon(epsilon)
-    return LimitWitness(epsilon, math.log(1.0 / epsilon), AT_TOP, 1.0)
-
-
-def sigmoid_witness_at_bot(epsilon: float) -> LimitWitness:
-    """Threshold -ln(1/eps): sigmoid(x) < eps for all x <= threshold."""
-    epsilon = _check_epsilon(epsilon)
-    return LimitWitness(epsilon, -math.log(1.0 / epsilon), AT_BOT, 0.0)
-
-
-def falsify_limit(
-    f: Callable[[float], float],
-    limit_value: float,
-    epsilon: float,
-    threshold: float,
-    direction: str,
-    sample_count: int,
-) -> Optional[float]:
-    """Numeric refuter for an epsilon-N claim.
-
-    Samples `sample_count` points past the threshold (the threshold itself,
-    then geometrically spaced offsets out to threshold + 1e3; violations of
-    a saturating limit, if any, live near the threshold) and returns the
-    first x with |f(x) - limit_value| >= epsilon, or None.  A non-finite
-    f(x) counts as a counterexample at x.  Sampling can refute, not prove.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
-    if direction not in (AT_TOP, AT_BOT):
-        raise ValueError(f"unknown direction {direction!r}")
-    sign = 1.0 if direction == AT_TOP else -1.0
-    offsets = [0.0]
-    m = sample_count - 1
-    for j in range(m):
-        # geometric sweep from 1e-3 out to 1e3
-        offsets.append(10.0 ** (-3.0 + 6.0 * j / max(m - 1, 1)))
-    for off in offsets:
-        x = threshold + sign * off
-        y = f(x)
-        if not math.isfinite(y):
-            return x
-        if abs(y - limit_value) >= epsilon:
-            return x
-    return None
-
-
-def saturation_slope(
-    h: float, tol: float, top: LimitWitness, bot: LimitWitness
-) -> SaturationSlope:
-    """omega = max(1, top.threshold/h, -bot.threshold/h) for a general
-    bounded sigmoidal activation described by its two limit witnesses.
-
-    For every w >= omega: t >= h implies |activation(w*t) - 1| < tol and
-    t <= -h implies |activation(w*t)| < tol, by the witness guarantees.
-    """
-    if h <= 0.0 or tol <= 0.0:
-        raise ValueError("h and tol must be positive")
-    if top.direction != AT_TOP or bot.direction != AT_BOT:
-        raise ValueError("witness directions do not match their roles")
-    if top.epsilon != tol or bot.epsilon != tol:
-        raise ValueError("witness tolerances must equal the requested tol")
-    omega = max(1.0, top.threshold / h, -bot.threshold / h)
-    return SaturationSlope(omega=omega, h=h, tol=tol)
 
 
 def sigmoid_saturation_slope(h: float, n: int) -> SaturationSlope:

@@ -28,16 +28,14 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from math import exp
+from math import exp, factorial
 
-from .stirling import factorial, stirling_row
+from .stirling import stirling_row
 
 __all__ = [
     "MAX_DERIVATIVE_ORDER",
     "finite_sigmoid",
     "sigmoid",
-    "sigmoid_deriv1",
-    "sigmoid_deriv2",
     "sigmoid_nth_derivative",
 ]
 
@@ -83,23 +81,6 @@ def finite_sigmoid(t: float) -> float:
         return 1.0 / (1.0 + exp(-t))
     e = exp(t)
     return e / (1.0 + e)
-
-
-def sigmoid_deriv1(x: float) -> float:
-    """First derivative: sigma(x) * (1 - sigma(x)), in (0, 0.25].
-
-    Evaluated as sigma(-|x|) * (1 - sigma(-|x|)) so the small factor is the
-    directly computed one; forming 1 - sigma(x) for large x would cancel.
-    The derivative is even, so this changes nothing mathematically.
-    """
-    s = finite_sigmoid(-abs(_require_finite(x)))
-    return s * (1.0 - s)
-
-
-def sigmoid_deriv2(x: float) -> float:
-    """Second derivative: sigma(x) * (1 - sigma(x)) * (1 - 2*sigma(x))."""
-    s = finite_sigmoid(_require_finite(x))
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 def sigmoid_nth_derivative(n: int, x: float) -> float:

@@ -1,4 +1,4 @@
-"""Exact combinatorial kernels: Stirling numbers of the second kind and factorials.
+"""Exact Stirling numbers of the second kind.
 
 Everything here is unbounded-integer arithmetic.  S(n, k) passes 64-bit range
 around n = 25, and the derivative coefficients built on top of these values
@@ -7,59 +7,32 @@ must stay exact until the final conversion to floating point.
 
 from __future__ import annotations
 
-import threading
-from math import factorial
+__all__ = ["stirling2", "stirling_row"]
 
-__all__ = ["StirlingTable", "factorial", "stirling2", "stirling_row"]
-
-
-class StirlingTable:
-    """Memoized triangular table of S(n, k) for 0 <= k <= n <= max_n.
-
-    Rows are built bottom-up with S(n+1, k) = k*S(n, k) + S(n, k-1) and
-    appended only once complete, so concurrent readers never observe a
-    partially written row.  Extension is serialized by a lock.
-    """
-
-    def __init__(self, max_n: int = 0) -> None:
-        if max_n < 0:
-            raise ValueError("max_n must be nonnegative")
-        self._rows: list[tuple[int, ...]] = [(1,)]
-        self._lock = threading.Lock()
-        self.extend_to(max_n)
-
-    @property
-    def max_n(self) -> int:
-        return len(self._rows) - 1
-
-    def extend_to(self, n: int) -> None:
-        """Grow the table so rows 0..n are available."""
-        with self._lock:
-            while len(self._rows) <= n:
-                prev = self._rows[-1]
-                m = len(self._rows)  # index of the row being built
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    below = prev[k] if k < len(prev) else 0
-                    row[k] = k * below + prev[k - 1]
-                self._rows.append(tuple(row))
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n > self.max_n:
-            self.extend_to(n)
-        return self._rows[n]
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("n and k must be nonnegative")
-        if k > n:
-            return 0
-        return self.row(n)[k]
+# Rows 0.._KEPT are built once, at import, and never written again:
+# `sigmoid_nth_derivative` reads rows up to MAX_DERIVATIVE_ORDER + 1 = 31 on
+# every call.  A higher row is built from the last kept one and not stored:
+# kept, rows 0..n take memory growing about as n^3 (212 MB at n = 1000).
+_KEPT = 32
+_ROWS: list[tuple[int, ...]] = [(1,)]
 
 
-_TABLE = StirlingTable(32)
+def stirling_row(n: int) -> tuple[int, ...]:
+    """The full row (S(n, 0), ..., S(n, n)), built bottom-up with
+    S(m, k) = k*S(m-1, k) + S(m-1, k-1) from the nearest kept row, holding
+    two rows at a time."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    start = min(n, len(_ROWS) - 1)
+    row = _ROWS[start]
+    for m in range(start + 1, n + 1):
+        row = (0,) + tuple(k * row[k] + row[k - 1] for k in range(1, m)) + (1,)
+        if m == len(_ROWS) <= _KEPT:
+            _ROWS.append(row)
+    return row
+
+
+stirling_row(_KEPT)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -67,9 +40,6 @@ def stirling2(n: int, k: int) -> int:
 
     Exact for any n, k; k > n is permitted and yields 0.
     """
-    return _TABLE.value(n, k)
-
-
-def stirling_row(n: int) -> tuple[int, ...]:
-    """The full row (S(n, 0), ..., S(n, n))."""
-    return _TABLE.row(n)
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    return stirling_row(n)[k] if k <= n else 0

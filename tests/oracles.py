@@ -5,7 +5,9 @@ enumerated by brute force, and derivatives come from nested central
 differences or the polylogarithm, evaluated in high-precision arithmetic
 (mpmath), so agreement with the closed-form implementations is meaningful.
 The exceptions are `reference_G`, which defines what "bit-identical"
-means for the evaluator and so must use the library's own sigmoid, and
+means for the evaluator and so must use the library's own sigmoid,
+`sigmoid_deriv1` and `sigmoid_deriv2`, the product forms of the first two
+derivatives over the library's sigmoid kernel and its input guard, and
 `reference_validate`, the validation walk as it was before it walked the
 sigmoid window: it calls `evaluate`, which bisects at every point.  The
 grid references spell the grid formula out rather than calling the
@@ -32,7 +34,7 @@ from sigapprox.engine import ErrorReport, _with_knots, evaluate, validate
 from sigapprox.export import write_samples
 from sigapprox.expressions import Binary, Const, EvalDomainError, Pi, Unary, Var
 from sigapprox.partition import uniform_grid
-from sigapprox.sigmoid import sigmoid
+from sigapprox.sigmoid import _require_finite, finite_sigmoid, sigmoid
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -102,6 +104,23 @@ def mp_sigmoid_derivative(n: int, x: float) -> float:
         return float((-1) ** n * mp.polylog(-n, -mp.exp(-mp.mpf(x))))
 
 
+def sigmoid_deriv1(x: float) -> float:
+    """First derivative: sigma(x) * (1 - sigma(x)), in (0, 0.25].
+
+    Evaluated as sigma(-|x|) * (1 - sigma(-|x|)) so the small factor is the
+    directly computed one; forming 1 - sigma(x) for large x would cancel.
+    The derivative is even, so this changes nothing mathematically.
+    """
+    s = finite_sigmoid(-abs(_require_finite(x)))
+    return s * (1.0 - s)
+
+
+def sigmoid_deriv2(x: float) -> float:
+    """Second derivative: sigma(x) * (1 - sigma(x)) * (1 - 2*sigma(x))."""
+    s = finite_sigmoid(_require_finite(x))
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
 def richardson_diff(f: Callable[[float], float], x: float, h: float = 1e-3) -> float:
     """Double-precision Richardson-extrapolated central difference."""
 
@@ -130,8 +149,8 @@ def reference_validate(g, spec, epsilon: float, grid_size: int, row=None) -> Err
     exception."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
     built = g.built_from
     values = built[1] if built is not None and built[0] is spec else repeat(None)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -309,6 +310,22 @@ def test_stirling_value_and_row(capsys):
     assert code == 0 and parse_lines(out)["value"] == "1"
     code, out, _ = run(capsys, ["stirling", "--n", "5"])
     assert code == 0 and parse_lines(out)["row"] == "0,1,15,25,10,1"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_stirling_of_a_large_n_in_bounded_memory():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sigapprox.cli", "stirling", "--n", "1500", "--k", "3"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    out = proc.stdout.read()
+    proc.stdout.close()
+    # wait4 gives this child's own peak RSS, not that of every child reaped
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert parse_lines(out)["value"] == str((3**1500 - 3 * 2**1500 + 3) // 6)
+    assert usage.ru_maxrss < 64 * 1024, f"peak RSS {usage.ru_maxrss} kB"
 
 
 def test_saturation_values(capsys):

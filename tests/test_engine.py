@@ -87,6 +87,19 @@ def test_compute_eta_values():
         compute_eta(0.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_epsilon_must_be_positive_and_finite(eps):
+    spec = make_spec("x", 1.0, 1.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.2))
+    message = "^epsilon must be positive and finite$"
+    with pytest.raises(RecipeError, match=message):
+        compute_eta(eps, 1.0, 1.0)
+    with pytest.raises(RecipeError, match=message):
+        compute_recipe(spec, eps)
+    with pytest.raises(ValueError, match=message):
+        validate(g, spec, eps, 11)
+
+
 def test_recipe_identity_hand_arithmetic():
     spec = make_spec("x", 1.0, 1.0)
     r = compute_recipe(spec, 0.2)

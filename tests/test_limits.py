@@ -2,133 +2,8 @@ import math
 
 import pytest
 
-from sigapprox.limits import (
-    AT_BOT,
-    AT_TOP,
-    LimitWitness,
-    boundary_residual,
-    falsify_limit,
-    saturation_slope,
-    sigmoid_saturation_slope,
-    sigmoid_witness_at_bot,
-    sigmoid_witness_at_top,
-)
-from sigapprox.sigmoid import sigmoid, sigmoid_deriv1
-
-
-def geometric_points_above(threshold, count=200, span=1e3):
-    # strictly above the threshold: at the threshold itself the margin is
-    # eps/(1+eps), one part in 1/eps, below what 1 - sigmoid(x) can resolve
-    # once sigmoid(x) is rounded near 1
-    return [
-        threshold + 10.0 ** (-3.0 + (3.0 + math.log10(span)) * j / (count - 1))
-        for j in range(count)
-    ]
-
-
-def test_witness_at_top_formula():
-    w = sigmoid_witness_at_top(math.exp(-5.0))
-    assert w.threshold == pytest.approx(5.0, rel=1e-12)
-    assert w.limit_value == 1.0
-    assert w.direction == AT_TOP
-    assert 1.0 - sigmoid(5.0) < math.exp(-5.0)
-
-    assert sigmoid_witness_at_top(0.5).threshold == pytest.approx(math.log(2.0))
-
-    w = sigmoid_witness_at_top(1e-12)
-    assert w.threshold == pytest.approx(27.631, rel=1e-4)
-    assert abs(sigmoid(w.threshold + 1e-3) - 1.0) < 1e-12
-
-
-def test_witness_at_bot_formula():
-    assert sigmoid_witness_at_bot(math.exp(-5.0)).threshold == pytest.approx(-5.0)
-    assert sigmoid_witness_at_bot(0.5).threshold == pytest.approx(-math.log(2.0))
-    w = sigmoid_witness_at_bot(1e-9)
-    assert w.threshold == pytest.approx(-20.723, rel=1e-4)
-    assert sigmoid(w.threshold) < 1e-9
-    assert w.limit_value == 0.0
-
-
-def test_witness_rejects_bad_epsilon():
-    for eps in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            sigmoid_witness_at_top(eps)
-        with pytest.raises(ValueError):
-            sigmoid_witness_at_bot(eps)
-
-
-def test_witness_soundness_sampled():
-    for k in range(1, 13):
-        eps = 10.0**-k
-        top = sigmoid_witness_at_top(eps)
-        for x in geometric_points_above(top.threshold):
-            assert abs(sigmoid(x) - 1.0) < eps
-        bot = sigmoid_witness_at_bot(eps)
-        for x in geometric_points_above(-bot.threshold):
-            assert abs(sigmoid(-x)) < eps
-
-
-def test_falsify_accepts_true_witness():
-    assert (
-        falsify_limit(sigmoid, 1.0, 0.01, math.log(100.0), AT_TOP, 100) is None
-    )
-
-
-def test_falsify_finds_wrong_limit_value():
-    x = falsify_limit(sigmoid, 0.9, 0.01, 5.0, AT_TOP, 100)
-    assert x is not None and x >= 5.0
-
-
-def test_falsify_derivative_tail():
-    assert falsify_limit(sigmoid_deriv1, 0.0, 1e-6, 20.0, AT_TOP, 100) is None
-
-
-def test_falsify_reports_non_finite():
-    def blows_up(x):
-        return math.inf if x > 2.0 else 0.0
-
-    assert falsify_limit(blows_up, 0.0, 0.5, 1.0, AT_TOP, 50) is not None
-
-
-def test_falsify_preconditions():
-    with pytest.raises(ValueError):
-        falsify_limit(sigmoid, 1.0, 0.01, 0.0, AT_TOP, 1)
-    with pytest.raises(ValueError):
-        falsify_limit(sigmoid, 1.0, 0.01, 0.0, "sideways", 10)
-
-
-def test_generic_saturation_slope():
-    tol = 0.01
-    top = LimitWitness(tol, 5.0, AT_TOP, 1.0)
-    bot = LimitWitness(tol, -5.0, AT_BOT, 0.0)
-    assert saturation_slope(1.0, tol, top, bot).omega == 5.0
-    assert saturation_slope(0.001, tol, top, bot).omega == 5000.0
-
-
-def test_generic_saturation_slope_floor_of_one():
-    tol = 0.4
-    top = LimitWitness(tol, -2.0, AT_TOP, 1.0)
-    bot = LimitWitness(tol, 1.0, AT_BOT, 0.0)
-    assert saturation_slope(1.0, tol, top, bot).omega == 1.0
-
-
-def test_generic_saturation_matches_sharp_sigmoid_choice():
-    n = 100
-    h = 0.01
-    tol = 1.0 / n
-    top = LimitWitness(tol, math.log(n - 1.0), AT_TOP, 1.0)
-    bot = LimitWitness(tol, -math.log(n - 1.0), AT_BOT, 0.0)
-    slope = saturation_slope(h, tol, top, bot)
-    assert slope.omega == pytest.approx(math.log(99.0) / 0.01, rel=1e-12)
-    # residual is a difference of values near 1, so its granularity is ulp(1)
-    assert 1.0 - sigmoid(slope.omega * h) <= 1.0 / n + 2 * math.ulp(1.0)
-
-
-def test_saturation_slope_rejects_mismatched_tolerances():
-    top = LimitWitness(0.01, 5.0, AT_TOP, 1.0)
-    bot = LimitWitness(0.02, -5.0, AT_BOT, 0.0)
-    with pytest.raises(ValueError):
-        saturation_slope(1.0, 0.01, top, bot)
+from sigapprox.limits import boundary_residual, sigmoid_saturation_slope
+from sigapprox.sigmoid import sigmoid
 
 
 def test_sigmoid_saturation_slope_examples():

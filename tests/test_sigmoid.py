@@ -10,12 +10,16 @@ from sigapprox.sigmoid import (
     MAX_DERIVATIVE_ORDER,
     finite_sigmoid,
     sigmoid,
-    sigmoid_deriv1,
-    sigmoid_deriv2,
     sigmoid_nth_derivative,
 )
 
-from oracles import mp_sigmoid_derivative, nested_central_derivative, richardson_diff
+from oracles import (
+    mp_sigmoid_derivative,
+    nested_central_derivative,
+    richardson_diff,
+    sigmoid_deriv1,
+    sigmoid_deriv2,
+)
 
 
 def ulps_apart(a: float, b: float) -> float:

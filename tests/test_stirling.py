@@ -1,7 +1,10 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sigapprox.stirling import StirlingTable, factorial, stirling2, stirling_row
+from sigapprox import stirling
+from sigapprox.stirling import stirling2, stirling_row
 
 from oracles import bell_number, count_partitions
 
@@ -15,15 +18,6 @@ def test_base_values():
 def test_k_above_n_is_zero():
     assert stirling2(3, 5) == 0
     assert stirling2(0, 1) == 0
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    acc = 1
-    for i in range(1, 21):
-        acc *= i
-    assert factorial(20) == acc == 2432902008176640000
 
 
 def test_matches_brute_force_enumeration():
@@ -55,12 +49,16 @@ def test_row_sums_are_bell_numbers():
         assert sum(stirling_row(n)) == bell_number(n)
 
 
-def test_table_extends_past_initial_size():
-    t = StirlingTable(4)
-    assert t.max_n == 4
-    assert t.value(40, 20) == stirling2(40, 20)
-    assert t.max_n >= 40
+def test_rows_past_the_kept_range_are_built_and_not_kept():
+    kept = len(stirling._ROWS)
+    assert kept == 33  # rows 0..32; sigmoid_nth_derivative reads up to row 31
     assert stirling2(40, 20) > 2**63  # needs unbounded integers
+    prev, row = stirling_row(99), stirling_row(100)
+    assert len(row) == 101 and row[0] == 0 and row[100] == 1
+    assert all(row[k] == k * prev[k] + prev[k - 1] for k in range(1, 100))
+    assert len(stirling._ROWS) == kept
+    with pytest.raises(ValueError):
+        stirling_row(-1)
 
 
 def test_row_shape():
