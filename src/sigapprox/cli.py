@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import Any, Iterator, Optional
@@ -40,12 +41,31 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _any_digits() -> Iterator[None]:
+    """Let ints of any size convert to decimal text in the block.  Python's
+    digit limit guards the parsing of untrusted text; the flags are parsed
+    before any command runs, so they stay under it."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(lines: list[tuple[str, Any]], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps({k: v for k, v in lines}))
-    else:
-        for key, value in lines:
-            print(f"{key} = {value}")
+    """Print the lines, all formatted before the first is printed."""
+    with _any_digits():
+        if as_json:
+            text = json.dumps(dict(lines))
+        else:
+            text = "\n".join(f"{key} = {value}" for key, value in lines)
+    print(text)
 
 
 def _check_finite(args: argparse.Namespace, *flags: str) -> None:
@@ -112,9 +132,24 @@ def _writing(path: str) -> Iterator[None]:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse a directory for either output flag, and one path for both."""
+    outputs = {"--out-network": args.out_network, "--out-samples": args.out_samples}
+    for flag, path in outputs.items():
+        if path and os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
+    if args.out_network and args.out_samples and (
+        os.path.realpath(args.out_network) == os.path.realpath(args.out_samples)
+    ):
+        raise UsageError(
+            f"--out-network and --out-samples name one path: {args.out_network}"
+        )
+
+
 def cmd_approximate(args: argparse.Namespace) -> int:
     if args.grid is not None and args.grid < 2:
         raise UsageError("--grid must be at least 2")
+    _check_outputs(args)
     spec = _build_spec(args)
     # validation's walk writes the samples: the file opens before f is
     # evaluated and takes its place only if every step below succeeds
@@ -154,7 +189,8 @@ def cmd_stirling(args: argparse.Namespace) -> int:
         value: Any = stirling2(args.n, args.k)
         lines = [("n", args.n), ("k", args.k), ("value", value)]
     else:
-        row = ",".join(str(v) for v in stirling_row(args.n))
+        with _any_digits():
+            row = ",".join(map(str, stirling_row(args.n)))
         lines = [("n", args.n), ("row", row)]
     _emit(lines, args.json)
     return EXIT_OK

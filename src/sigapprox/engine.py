@@ -254,15 +254,16 @@ class SigmoidApproximant:
 
     `built_from` is (spec, f(x_k) for k = 1..N+1) as `build_approximant`
     computed them, so `validate` against that same spec need not evaluate
-    f at the knots again; a G from anywhere else has None.  It takes no
-    part in repr, == or hash."""
+    f at the knots again.  Only `build_approximant` sets it: it is no
+    parameter of the constructor, and a G from anywhere else has None.  It
+    takes no part in repr, == or hash."""
 
     w: float
     partition: UniformPartition
     coeff0: float
     coeffs: tuple[float, ...] = field(repr=False)
     built_from: Optional[tuple[FunctionSpec, array]] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     @staticmethod
@@ -356,9 +357,9 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     # doubles in an array take 8 bytes each, a tuple of floats 32
     values = array("d", map(spec, islice(p.points, 1, None)))
     coeffs = tuple(map(sub, islice(values, 1, None), values))
-    return SigmoidApproximant(
-        w=recipe.w, partition=p, coeff0=values[0], coeffs=coeffs, built_from=(spec, values)
-    )
+    g = SigmoidApproximant(w=recipe.w, partition=p, coeff0=values[0], coeffs=coeffs)
+    object.__setattr__(g, "built_from", (spec, values))
+    return g
 
 
 def _check_window(x: float, centers: tuple[float, ...], lo: int, hi: int) -> None:

@@ -26,7 +26,6 @@ so sigma^(n) is odd in x for even n >= 2 and vanishes at 0.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from math import exp, factorial
 
@@ -45,8 +44,6 @@ __all__ = [
 # coefficients (k-1)! * S(n+1, k) reach 37 digits at n = 30.
 MAX_DERIVATIVE_ORDER = 30
 
-_MAX = sys.float_info.max
-
 
 def _require_finite(x: float) -> float:
     x = float(x)
@@ -56,27 +53,20 @@ def _require_finite(x: float) -> float:
 
 
 def sigmoid(x: float) -> float:
-    """Logistic sigmoid, stable over the full double range.
-
-    For x >= 0 this evaluates 1/(1 + e^-x); for x < 0 it evaluates
-    e^x/(1 + e^x).  Neither branch exponentiates a large positive argument,
-    so there is no overflow anywhere.  NaN and +-inf fall through both
-    range tests and raise ValueError, as in the derivatives.
-    """
-    x = float(x)
-    if 0.0 <= x <= _MAX:
-        return 1.0 / (1.0 + exp(-x))
-    if -_MAX <= x < 0.0:
-        t = exp(x)
-        return t / (1.0 + t)
-    raise ValueError(f"input must be finite, got {x!r}")
+    """Logistic sigmoid, stable over the full double range: `finite_sigmoid`
+    behind the input guard.  x is converted to float, and NaN and +-inf
+    raise ValueError, as in the derivatives."""
+    return finite_sigmoid(_require_finite(x))
 
 
 def finite_sigmoid(t: float) -> float:
-    """`sigmoid` for a float t its caller knows to be finite: the same two
-    formulas on the same branches, with no conversion and no range test,
-    so it returns the same double.  t = +-inf gives 1.0 and 0.0, the
-    limits of sigma, and NaN gives NaN."""
+    """The sigmoid kernel, for a float t its caller knows to be finite.
+
+    For t >= 0 this evaluates 1/(1 + e^-t); for t < 0 it evaluates
+    e^t/(1 + e^t).  Neither branch exponentiates a large positive argument,
+    so there is no overflow anywhere.  With no conversion and no range
+    test, t = +-inf gives 1.0 and 0.0, the limits of sigma, and NaN gives
+    NaN."""
     if t >= 0.0:
         return 1.0 / (1.0 + exp(-t))
     e = exp(t)

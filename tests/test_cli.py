@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from sigapprox.cli import GRAMMAR_HELP, main
+from sigapprox.cli import GRAMMAR_HELP, _emit, main
 from sigapprox.engine import build_approximant, compute_recipe
 from sigapprox.export import to_network_document, write_network_document
 from sigapprox.expressions import FunctionSpec
@@ -312,6 +312,51 @@ def test_stirling_value_and_row(capsys):
     assert code == 0 and parse_lines(out)["row"] == "0,1,15,25,10,1"
 
 
+# 5,000 digits, past the 4,300 that Python 3.11 converts by default
+BIG = 10**4999 + 1
+BIG_TEXT = "1" + "0" * 4998 + "1"
+
+
+def test_stirling_prints_values_of_any_size(capsys, monkeypatch):
+    monkeypatch.setattr("sigapprox.cli.stirling2", lambda n, k: BIG)
+    monkeypatch.setattr("sigapprox.cli.stirling_row", lambda n: (0, BIG, 1))
+    code, out, _ = run(capsys, ["stirling", "--n", "2", "--k", "1"])
+    assert code == 0 and out == f"n = 2\nk = 1\nvalue = {BIG_TEXT}\n"
+    code, out, _ = run(capsys, ["stirling", "--n", "2", "--k", "1", "--json"])
+    assert code == 0 and out == f'{{"n": 2, "k": 1, "value": {BIG_TEXT}}}\n'
+    code, out, _ = run(capsys, ["stirling", "--n", "2"])
+    assert code == 0 and out == f"n = 2\nrow = 0,{BIG_TEXT},1\n"
+    code, out, _ = run(capsys, ["stirling", "--n", "2", "--json"])
+    assert code == 0 and out == f'{{"n": 2, "row": "0,{BIG_TEXT},1"}}\n'
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_stirling_flags_stay_under_the_digit_limit(capsys):
+    # argparse converts the flags before any command lifts the limit
+    code, out, err = run(capsys, ["stirling", "--n", BIG_TEXT])
+    assert code == 2 and out == "" and "invalid int value" in err
+
+
+class Unformattable:
+    def __format__(self, spec):
+        raise ValueError("no text")
+
+
+def test_emit_formats_every_line_before_printing_any(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    _emit([("n", 3), ("value", BIG)], False)
+    assert capsys.readouterr().out == f"n = 3\nvalue = {BIG_TEXT}\n"
+    _emit([("n", 3), ("value", BIG)], True)
+    assert capsys.readouterr().out == f'{{"n": 3, "value": {BIG_TEXT}}}\n'
+    with pytest.raises(ValueError, match="no text"):
+        _emit([("n", 3), ("value", BIG), ("bad", Unformattable())], False)
+    assert capsys.readouterr().out == ""
+    with pytest.raises(TypeError):
+        _emit([("n", 3), ("bad", object())], True)
+    assert capsys.readouterr().out == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
 def test_stirling_of_a_large_n_in_bounded_memory():
     proc = subprocess.Popen(
@@ -508,3 +553,42 @@ def test_unwritable_network_path_exits_2(capsys, tmp_path):
     assert err == f"error: cannot write {path}: No such file or directory\n"
     # the samples CSV takes its place only when every output succeeds
     assert list(tmp_path.iterdir()) == []
+
+
+def refuse_f(monkeypatch):
+    def no_f(spec, x):
+        raise AssertionError("f must not be evaluated")
+
+    monkeypatch.setattr(FunctionSpec, "__call__", no_f)
+
+
+QUICK = ["approximate", "--fn", WIGGLY, "--a", "0", "--b", "1", "--eps", "0.2",
+         "--lipschitz", "1", "--sup", "1", "--grid", "101"]
+
+
+@pytest.mark.parametrize("samples", ["out.txt", "sub/../out.txt", "link.txt"])
+def test_one_path_for_both_outputs_exits_2_before_f(capsys, monkeypatch, tmp_path, samples):
+    refuse_f(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to(tmp_path / "out.txt")
+    net = tmp_path / "out.txt"
+    code, out, err = run(capsys, QUICK + ["--out-network", str(net),
+                                          "--out-samples", str(tmp_path / samples)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out-network and --out-samples name one path: {net}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out-network", "--out-samples"])
+def test_directory_output_exits_2_before_f(capsys, monkeypatch, tmp_path, flag):
+    refuse_f(monkeypatch)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(capsys, QUICK + [flag, str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} {out_dir} is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list(out_dir.iterdir()) == []

@@ -100,6 +100,24 @@ def test_epsilon_must_be_positive_and_finite(eps):
         validate(g, spec, eps, 11)
 
 
+def test_only_the_build_sets_built_from():
+    spec = make_spec("x", 1.0, 1.0)
+    g = build_approximant(spec, compute_recipe(spec, 0.2))
+    assert g.built_from[0] is spec
+    params = [f.name for f in dataclasses.fields(SigmoidApproximant) if f.init]
+    assert params == ["w", "partition", "coeff0", "coeffs"]
+    # forged f values at every knot would make validate measure |G - forged|
+    forged = (spec, array("d", [0.0] * g.unit_count))
+    with pytest.raises(TypeError):
+        SigmoidApproximant(w=g.w, partition=g.partition, coeff0=g.coeff0,
+                           coeffs=g.coeffs, built_from=forged)
+    with pytest.raises(ValueError):
+        dataclasses.replace(g, built_from=forged)
+    by_hand = SigmoidApproximant(w=g.w, partition=g.partition, coeff0=g.coeff0, coeffs=g.coeffs)
+    assert by_hand.built_from is None and dataclasses.replace(g).built_from is None
+    assert validate(by_hand, spec, 0.2, 11) == validate(g, spec, 0.2, 11)
+
+
 def test_recipe_identity_hand_arithmetic():
     spec = make_spec("x", 1.0, 1.0)
     r = compute_recipe(spec, 0.2)

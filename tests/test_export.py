@@ -547,7 +547,7 @@ def check_three_networks(spec, recipe, epsilon, grid_size, calls, tmp_path):
     g = build_approximant(spec, recipe)
     assert g.built_from[0] is spec
     assert list(g.built_from[1]) == [spec(x) for x in g.partition.points[1:]]
-    dropped = dataclasses.replace(g, built_from=None)
+    dropped = dataclasses.replace(g)
     out = io.StringIO()
     write_network(g, recipe, spec, out)
     reloaded = approximant_from_document(read_network_document(io.StringIO(out.getvalue())))

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sigapprox.sigmoid import (
     MAX_DERIVATIVE_ORDER,
@@ -205,6 +205,33 @@ def test_bit_identical_to_the_guarded_formula():
     assert (finite_sigmoid(math.inf), finite_sigmoid(-math.inf)) == (1.0, 0.0)
 
 
+def range_tested_sigmoid(x):
+    """The sigmoid as it read with its own copy of the kernel's two
+    formulas, whose range tests also turned NaN and +-inf away."""
+    x = float(x)
+    if 0.0 <= x <= sys.float_info.max:
+        return 1.0 / (1.0 + math.exp(-x))
+    if -sys.float_info.max <= x < 0.0:
+        t = math.exp(x)
+        return t / (1.0 + t)
+    raise ValueError(f"input must be finite, got {x!r}")
+
+
+FORCED = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+          37.0, -37.0, 745.0, -745.0, sys.float_info.max, -sys.float_info.max]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_bit_identical_to_the_range_tested_formula(x):
+    assert sigmoid(x).hex() == range_tested_sigmoid(x).hex()
+
+
+for _x in FORCED:
+    test_bit_identical_to_the_range_tested_formula = example(_x)(
+        test_bit_identical_to_the_range_tested_formula
+    )
+
+
 @pytest.mark.parametrize(
     "x", [0, 3, -3, 800, -800, 10**300, True, False, Fraction(1, 3), Fraction(-7, 2)]
 )
@@ -217,9 +244,10 @@ def test_non_finite_message(bad):
     with pytest.raises(ValueError) as got:
         sigmoid(bad)
     assert str(got.value) == f"input must be finite, got {bad!r}"
-    with pytest.raises(ValueError) as want:
-        guarded_sigmoid(bad)
-    assert str(got.value) == str(want.value)
+    for reference in (guarded_sigmoid, range_tested_sigmoid):
+        with pytest.raises(ValueError) as want:
+            reference(bad)
+        assert str(got.value) == str(want.value)
     # the derivatives guard their input once and call the kernel
     for derivative in (sigmoid_deriv1, sigmoid_deriv2,
                        lambda x: sigmoid_nth_derivative(3, x)):
