@@ -7,6 +7,8 @@ must stay exact until the final conversion to floating point.
 
 from __future__ import annotations
 
+from math import factorial
+
 __all__ = ["stirling2", "stirling_row"]
 
 # Rows 0.._KEPT are built once, at import, and never written again:
@@ -38,8 +40,23 @@ stirling_row(_KEPT)
 def stirling2(n: int, k: int) -> int:
     """S(n, k): the number of partitions of an n-set into k nonempty blocks.
 
-    Exact for any n, k; k > n is permitted and yields 0.
+    Exact for any n, k; k > n is permitted and yields 0.  Computed without
+    row n, from the alternating sum
+
+        S(n, k) = sum_{j=0}^{k} (-1)^(k-j) C(k, j) j^n / k!
+
+    in integers, one power at a time (0**0 = 1 gives S(0, 0) = 1): k + 1
+    powers of at most n*log2(k) bits, where building the row takes about
+    n^2/2 big-integer products.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    return stirling_row(n)[k] if k <= n else 0
+    if k > n:
+        return 0
+    total = 0
+    binom = 1  # C(k, j)
+    for j in range(k + 1):
+        term = binom * j**n
+        total += -term if (k - j) & 1 else term
+        binom = binom * (k - j) // (j + 1)
+    return total // factorial(k)

@@ -823,6 +823,101 @@ def test_validate_walks_to_the_windows_evaluate_bisects(case):
     assert isinstance(got[0], tuple) or "too far from the unit centers" in got[0]
 
 
+def _zero_networks():
+    """Networks with f(a) = 0 and every forward difference 0.  tail is 0
+    and the running sum stays 0, where ulp(0)/8 underflows, so the
+    lookahead never leaves the loop and only the window's end stops it.
+    Dyadic centers with neg = NEG_CUTOFF/w = -1/4 exactly, and the paper's
+    slope at N = 300."""
+    yield SigmoidApproximant(w=-NEG_CUTOFF * 4.0, partition=unif_part(0.0, 1.0, 16),
+                             coeff0=0.0, coeffs=(0.0,) * 16)
+    p = unif_part(0.0, 1.0, 300)
+    yield SigmoidApproximant(w=math.log(299.0) / p.h, partition=p,
+                             coeff0=0.0, coeffs=(0.0,) * 300)
+
+
+def _window_width(g, x):
+    """The number of units in x's sigmoid window, found by bisecting the
+    centers at both ends, apart from the unit loop that finds the end."""
+    centers = g.centers
+    return (bisect_right(centers, x - NEG_CUTOFF / g.w)
+            - bisect_left(centers, x - POS_CUTOFF / g.w))
+
+
+def _stop_on_a_center(g):
+    """Points x with fl(x - neg) equal to a center, so that the loop's
+    last unit sits exactly at its stop."""
+    neg = NEG_CUTOFF / g.w
+    out = []
+    for c in g.centers:
+        out += [x for x in _around(c + neg, steps=2) if x - neg == c]
+    return out
+
+
+@pytest.mark.parametrize("g", list(_zero_networks()))
+def test_evaluate_visits_exactly_the_window_the_bisections_bound(g, monkeypatch):
+    centers = g.centers
+    reach, pos = -NEG_CUTOFF / g.w, POS_CUTOFF / g.w
+    landing = _stop_on_a_center(g)
+    assert len(landing) >= 3
+    xs = landing + [y for c in centers for y in _around(c, steps=1)[:3]]
+    # left of x_0, where the window holds the first units or none, and
+    # right of b, where it runs to the last unit or lies past it
+    x0, b = centers[0], centers[-1]
+    xs += [x0 - reach / 2, x0 - reach, x0 - 2 * reach, b + pos / 2, b + 2 * pos, b + reach]
+    rng = random.Random(17)
+    xs += [rng.uniform(x0 - 2 * reach, b + 2 * pos) for _ in range(500)]
+    count = [0]
+
+    def counted(t):
+        count[0] += 1
+        return sigmoid(t)
+
+    monkeypatch.setattr(engine, "sigmoid", counted)
+    widths = []
+    for x in xs:
+        count[0] = 0
+        assert evaluate(g, x) == 0.0
+        assert count[0] == _window_width(g, x), x
+        widths.append(count[0])
+    assert min(widths) == 0 and max(widths) > 3
+
+
+@pytest.mark.parametrize("g", list(_zero_networks()))
+def test_validate_visits_exactly_the_window_the_bisections_bound(g, monkeypatch):
+    # the interval reaches past both ends of G's, so the knots bring in
+    # every center but x_0; the grid starts left of x_0, at an x whose stop
+    # is a center, and ends right of b
+    a = min(_stop_on_a_center(g))
+    b = g.centers[-1] + 3 * POS_CUTOFF / g.w
+    assert a < g.centers[0] and a - NEG_CUTOFF / g.w in g.centers
+    spec = FunctionSpec.from_text("0", a, b, lipschitz=1.0, sup_bound=1.0)
+    grid = 997
+    count = [0]
+    rows = []
+
+    def counted(t):
+        count[0] += 1
+        return sigmoid(t)
+
+    def sink(x, fx, gx):
+        # the calls since the last row belong to the distinct points after it
+        rows.append((x, count[0]))
+        count[0] = 0
+
+    monkeypatch.setattr(engine, "sigmoid", counted)
+    validate(g, spec, 1.0, grid, row=sink)
+    monkeypatch.undo()
+    # x_0 = a - h is a center but never a knot
+    points = reference_validation_grid(a, b, grid, g.partition.points[1:])
+    assert set(g.centers[1:]) <= set(points)
+    assert len(rows) == grid
+    prev = -math.inf
+    for x, calls in rows:
+        assert calls == sum(_window_width(g, p) for p in points if prev < p <= x), x
+        prev = x
+
+
 def _hand_network(coeffs, wh=math.log(3.0), coeff0=0.0):
     p = unif_part(0.0, 1.0, len(coeffs))
     return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=coeff0, coeffs=tuple(coeffs))
@@ -865,7 +960,7 @@ def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
     # point; no such network can be made, so the unit loop is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, hi: math.nan)
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, stop: math.nan)
     rep = validate(g, spec, 0.2, 11)
     assert rep.passed is False
     assert math.isnan(rep.sup_error)
@@ -879,8 +974,8 @@ def test_validate_keeps_the_first_infinite_error(monkeypatch):
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     real = engine._window_sum
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, hi: (
-        real(kernel, x, lo, hi) if x < 0.56 else math.inf if x < 0.81 else math.nan))
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, stop: (
+        real(kernel, x, lo, stop) if x < 0.56 else math.inf if x < 0.81 else math.nan))
     xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
     errs = [abs(engine.evaluate(g, x) - spec(x)) for x in xs]
     first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
@@ -896,7 +991,7 @@ def test_validate_a_later_finite_error_does_not_replace_nan(monkeypatch):
     spec = make_spec("0", 1.0, 0.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     monkeypatch.setattr(
-        engine, "_window_sum", lambda kernel, x, lo, hi: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
+        engine, "_window_sum", lambda kernel, x, lo, stop: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
     )
     rep = validate(g, spec, 0.1, 5)
     assert math.isnan(rep.sup_error)

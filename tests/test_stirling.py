@@ -61,6 +61,26 @@ def test_rows_past_the_kept_range_are_built_and_not_kept():
         stirling_row(-1)
 
 
+def test_single_values_match_the_rows():
+    for n in range(61):
+        row = stirling_row(n)
+        assert [stirling2(n, k) for k in range(n + 1)] == list(row)
+        assert stirling2(n, n + 1) == stirling2(n, 2 * n + 3) == 0
+
+
+def test_a_single_value_does_not_build_its_row(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"stirling2 built row {n}")
+
+    monkeypatch.setattr(stirling, "stirling_row", refuse)
+    v = stirling2(3000, 1500)
+    # S(3000, 1500) = stirling_row(3000)[1500], computed once by the row
+    # recurrence: 17,597 bits, and its residue modulo the prime 2^61 - 1
+    assert v.bit_length() == 17597
+    assert v % (2**61 - 1) == 988355253242174308
+    assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+
+
 def test_row_shape():
     row = stirling_row(5)
     assert row == (0, 1, 15, 25, 10, 1)
