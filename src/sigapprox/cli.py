@@ -160,8 +160,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
         grid = args.grid if args.grid is not None else max(10_001, 10 * recipe.n)
         report = engine.validate(g, spec, args.eps, grid, row)
         if args.out_network:
-            with _writing(args.out_network):
-                export.write_network(g, recipe, spec, args.out_network)
+            with _writing(args.out_network), export.replacing(args.out_network) as fh:
+                export.write_network(g, recipe, spec, fh)
     lines = _recipe_lines(recipe) + [
         ("grid_size", report.grid_size),
         ("sup_error", report.sup_error),

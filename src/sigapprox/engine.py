@@ -162,7 +162,8 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     """Derive (eta, delta, N, h, w) for the target function and error.
 
     Missing M_f / L are filled in by the grid estimators; a supplied
-    modulus_override replaces delta = eta/L entirely.  N above
+    modulus_override replaces delta = eta/L entirely, and an estimated
+    L of 0 (f constant at every sample) takes delta = b - a.  N above
     DEFAULT_N_CAP is rejected with the required value in the message: the
     requested epsilon is too small for desk-scale validation.  So is an
     interval too narrow or too wide for h and w to be representable, and
@@ -192,10 +193,14 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
             lipschitz, lipschitz_source = float(spec.lipschitz), SUPPLIED
         else:
             lipschitz, lipschitz_source = estimate_lipschitz(spec), ESTIMATED
-        if lipschitz <= 0.0:
-            raise RecipeError("Lipschitz constant must be positive")
-        delta = eta / lipschitz
-        q_delta = q_eta / _exact("L", lipschitz)
+        if lipschitz == 0.0:
+            # f sampled constant (a supplied L is positive): every pair of
+            # points of [a, b] lies within delta = b - a, and the candidate
+            # 2(b - a)/delta is exactly 2
+            delta, q_delta = b - a, Fraction(b) - Fraction(a)
+        else:
+            delta = eta / lipschitz
+            q_delta = q_eta / _exact("L", lipschitz)
 
     candidates = (Fraction(3), 2 * (Fraction(b) - Fraction(a)) / q_delta, 1 / q_eta)
     n = math.floor(max(candidates)) + 1

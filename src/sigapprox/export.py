@@ -28,6 +28,7 @@ __all__ = [
     "read_network_document",
     "write_samples",
     "samples_file",
+    "replacing",
     "SAMPLES_HEADER",
 ]
 
@@ -274,20 +275,30 @@ def write_samples(
 
 
 @contextmanager
-def samples_file(path: Union[str, os.PathLike]) -> Iterator[Callable[[float, float, float], None]]:
-    """A row sink for `engine.validate(..., row=)` that writes the samples
-    CSV of `write_samples`.  The rows go to a temporary file beside `path`,
-    created on entry, so an unwritable path fails before any row is
-    computed.  The file replaces `path` when the block ends normally and is
-    removed when it raises, so `path` never holds a partial CSV."""
+def replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
+    """An open text file that takes the place of `path` when the block ends
+    normally.  It is a temporary file beside `path`, created on entry, so
+    an unwritable path fails before the block runs.  When the block raises,
+    the file is removed and `path` keeps what it held: `path` never holds a
+    partial output.  `path` is replaced, not written through: a symlink
+    there becomes a regular file, and the file gets the permissions of a
+    new file rather than those of the old one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(SAMPLES_HEADER + "\n")
-            yield _row_writer(fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextmanager
+def samples_file(path: Union[str, os.PathLike]) -> Iterator[Callable[[float, float, float], None]]:
+    """A row sink for `engine.validate(..., row=)` that writes the samples
+    CSV of `write_samples` to `path` through `replacing`."""
+    with replacing(path) as fh:
+        fh.write(SAMPLES_HEADER + "\n")
+        yield _row_writer(fh)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from sigapprox import export
 from sigapprox.cli import GRAMMAR_HELP, _emit, main
 from sigapprox.engine import build_approximant, compute_recipe
 from sigapprox.export import to_network_document, write_network_document
@@ -553,6 +554,46 @@ def test_unwritable_network_path_exits_2(capsys, tmp_path):
     assert err == f"error: cannot write {path}: No such file or directory\n"
     # the samples CSV takes its place only when every output succeeds
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_network_write_keeps_both_previous_outputs(capsys, monkeypatch, tmp_path):
+    net, samples = tmp_path / "net.json", tmp_path / "samples.csv"
+    net.write_text("previous network\n")
+    samples.write_text("previous samples\n")
+    write_units = export._write_units
+
+    def two_then_full(units):
+        for i, unit in enumerate(units):
+            if i == 2:
+                raise OSError(28, "No space left on device")
+            yield unit
+
+    monkeypatch.setattr("sigapprox.export._write_units",
+                        lambda fh, units: write_units(fh, two_then_full(units)))
+    code, out, err = run(capsys, approximate_argv(WIGGLY, tmp_path, "--out-network", str(net)))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {net}: No space left on device\n"
+    assert net.read_text() == "previous network\n"
+    assert samples.read_text() == "previous samples\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json", "samples.csv"]
+
+
+@pytest.mark.parametrize("fn", ["1", "0*x"])
+def test_constant_f_with_estimated_bounds_passes(capsys, fn):
+    code, out, err = run(capsys, ["approximate", "--fn", fn, "--a", "0", "--b", "1",
+                                  "--eps", "0.5"])
+    assert (code, err) == (0, "")
+    values = parse_lines(out)
+    assert (values["L"], values["L_source"], values["delta"]) == ("0.0", "estimated", "1.0")
+    assert values["N"] == ("11" if fn == "1" else "9")
+    assert values["pass"] == "True"
+
+
+def test_supplied_zero_lipschitz_exits_2(capsys):
+    code, out, err = run(capsys, ["approximate", "--fn", "1", "--a", "0", "--b", "1",
+                                  "--eps", "0.5", "--lipschitz", "0"])
+    assert (code, out, err) == (2, "", "error: --lipschitz must be positive\n")
 
 
 def refuse_f(monkeypatch):

@@ -118,6 +118,18 @@ def test_only_the_build_sets_built_from():
     assert validate(by_hand, spec, 0.2, 11) == validate(g, spec, 0.2, 11)
 
 
+@pytest.mark.parametrize("text", ["1", "0*x"])
+def test_constant_f_with_estimated_bounds_takes_delta_b_minus_a(text):
+    # 0.7 - 0.1 is a rounded double: the candidate must still be exactly 2
+    spec = FunctionSpec.from_text(text, 0.1, 0.7)
+    r = compute_recipe(spec, 0.5)
+    assert (r.lipschitz, r.lipschitz_source) == (0.0, "estimated")
+    assert r.delta == 0.7 - 0.1
+    q_eta = Fraction(0.5) / (Fraction(r.m_f) + 2 * Fraction(r.m_sigma) + 2)
+    assert r.n_candidates == (Fraction(3), Fraction(2), 1 / q_eta)
+    assert r.n == math.floor(1 / q_eta) + 1 == (11 if text == "1" else 9)
+
+
 def test_recipe_identity_hand_arithmetic():
     spec = make_spec("x", 1.0, 1.0)
     r = compute_recipe(spec, 0.2)

@@ -2,9 +2,12 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sigapprox import expressions
+from sigapprox.engine import compute_recipe
 from sigapprox.expressions import (
+    OPS,
     Binary,
     Const,
     EvalDomainError,
@@ -22,8 +25,9 @@ from sigapprox.expressions import (
     format_ast,
     parse,
 )
+from sigapprox.partition import unif_part
 
-from oracles import reference_evaluate_ast
+from oracles import reference_evaluate_ast, reference_validation_grid
 
 WIGGLY = "abs(x-0.3) + 0.3*sin(6*pi*x) + 0.2*x*(1-x)"
 
@@ -220,9 +224,80 @@ def outcome(evaluate, ast, x):
         return type(exc), str(exc), id(getattr(exc, "node", None))
 
 
+@settings(max_examples=500)
 @given(any_asts, any_floats)
 def test_evaluate_matches_the_reference(ast, x):
     assert outcome(evaluate_ast, ast, x) == outcome(reference_evaluate_ast, ast, x)
+
+
+# subtrees with no x, which the closure builder folds into one constant
+constant_asts = st.recursive(
+    st.one_of(any_floats.map(Const), st.just(Pi())),
+    lambda ch: st.one_of(unary_nodes(ch), binary_nodes(ch)),
+    max_leaves=20,
+)
+
+
+@given(constant_asts, any_floats)
+def test_evaluate_constant_subtrees_matches_the_reference(ast, x):
+    assert outcome(evaluate_ast, ast, x) == outcome(reference_evaluate_ast, ast, x)
+    # and as an operand of an op that holds x
+    for tree in (Binary("add", ast, Var()), Binary("div", Var(), ast)):
+        assert outcome(evaluate_ast, tree, x) == outcome(reference_evaluate_ast, tree, x)
+
+
+def test_a_subtree_with_no_x_is_evaluated_when_the_closures_are_built(monkeypatch):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    monkeypatch.setitem(OPS, "mul", (2, "*", mul, None))
+    spec = FunctionSpec.from_text("2*pi*x", 0.0, 1.0)
+    xs = [0.0, 0.25, 1.0 / 3.0, 1.0]
+    values = [spec(x) for x in xs]
+    assert calls[0] == (2.0, math.pi)
+    assert len(calls) == 1 + len(xs)
+    assert values == [2.0 * math.pi * x for x in xs]
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(1-1)", "ln(0)", "exp(1000)", "(0-8)^(1/3)",
+             "1/(1-1) + x", "x*ln(0)", "exp(1000) - sin(x)", "x^((0-8)^(1/3))"])
+def test_a_raising_subtree_with_no_x_raises_at_each_call(text):
+    ast = parse(text)
+    closure, value = expressions._closure(ast)  # building raises nothing
+    assert value is None
+    for x in (0.0, -0.5, 0.75, math.inf):
+        got = outcome(lambda _, x: closure(x), ast, x)
+        assert got == outcome(reference_evaluate_ast, ast, x)
+        assert got[0] is EvalDomainError and got[1].endswith(f"(at x={x!r})")
+
+
+# the benchmark's three expressions with their interval, eps, bounds and grid
+BENCHMARK_EXPRESSIONS = [
+    (WIGGLY, 0.01, 1.0 + 1.8 * math.pi + 0.2, 1.05, None),
+    ("sin(0.09*x + 0.005)/1 + sin(0.18*x + 0.010)/2 + sin(0.27*x + 0.015)/3 + "
+     "sin(0.36*x + 0.020)/4 + sin(0.45*x + 0.025)/5 + sin(0.54*x + 0.030)/6 + "
+     "sin(0.63*x + 0.035)/7 + sin(0.72*x + 0.040)/8 + sin(0.81*x + 0.045)/9 + "
+     "sin(0.90*x + 0.050)/10 + sin(0.99*x + 0.055)/11 + sin(1.08*x + 0.060)/12 + "
+     "sin(1.17*x + 0.065)/13 + sin(1.26*x + 0.070)/14 + sin(1.35*x + 0.075)/15 + "
+     "sin(1.44*x + 0.080)/16",
+     0.01, None, None, None),
+    ("sin(2*pi*x) + 0.5*x", 7.5e-4, 2.0 * math.pi + 0.5, 1.5, 20_001),
+]
+
+
+@pytest.mark.parametrize("text, eps, lipschitz, sup, grid", BENCHMARK_EXPRESSIONS,
+                         ids=["wiggly", "deep-estimated", "large-n"])
+def test_benchmark_expressions_match_the_reference_on_their_grids(text, eps, lipschitz, sup, grid):
+    spec = FunctionSpec.from_text(text, 0.0, 1.0, lipschitz=lipschitz, sup_bound=sup)
+    n = compute_recipe(spec, eps).n
+    size = grid if grid is not None else max(10_001, 10 * n)
+    xs = reference_validation_grid(0.0, 1.0, size, unif_part(0.0, 1.0, n).points)
+    for x in xs[::7]:
+        assert spec(x).hex() == reference_evaluate_ast(spec.ast, x).hex()
 
 
 @pytest.mark.parametrize(
