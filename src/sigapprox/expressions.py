@@ -17,8 +17,10 @@ f is evaluated by closures: each `FunctionSpec` turns its AST once, on
 its first call, into closures, and every later call of f runs them with
 no type dispatch.  Only an op node gets a closure.  A subtree that holds
 no x is folded into its value when the closures are built, and an op's
-closure reads an operand that is x or a constant in place: `c*x` is one
-call, fn(c, x), and `2*pi*x` multiplies 2 by pi once, not at every call.
+closure reads a constant operand, and x beside one, in place: `c*x` is
+one call, fn(c, x), and `2*pi*x` multiplies 2 by pi once, not at every
+call.  Any other x operand, as in sin(x) or x*g(x), is the closure
+`lambda x: x`, which the benchmark's expressions do not have.
 An op's closure evaluates its operands left to right and then makes the
 op's `OPS` call.  A fold makes the same `OPS` calls on the same doubles,
 so every value of f comes from the same float operations, in the same
@@ -294,8 +296,9 @@ def _closure(node: Node) -> tuple[Callable[[float], float], Optional[float]]:
 
     A subtree that holds no Var is folded here into its value, by the
     `OPS` calls that its closures would make on the same doubles, so into
-    the same double.  Op nodes get closures, and x and folded constants
-    are their operands.  A subtree whose fold raises is not folded: it
+    the same double.  Op nodes get closures, and folded constants are
+    their operands, as is x beside a constant; any other x is the
+    closure `lambda x: x`.  A subtree whose fold raises is not folded: it
     keeps a closure for every node, leaves too, and raises at each call,
     with that call's x."""
     kind = type(node)
@@ -314,8 +317,9 @@ def _closure(node: Node) -> tuple[Callable[[float], float], Optional[float]]:
             built = [(closure, None) for closure, _ in built]
         else:
             return (lambda x: value), value
-    shape = "".join("x" if type(child) is Var else "f" if value is None else "c"
-                    for child, (_, value) in zip(children, built))
+    constant = [value is not None for _, value in built]
+    shape = "".join("c" if is_constant else "x" if type(child) is Var and any(constant) else "f"
+                    for child, is_constant in zip(children, constant))
     operands = [closure if value is None else value for closure, value in built]
     return _op_closure(shape, fn, message, node, *operands), None
 
@@ -328,32 +332,20 @@ def _op_closure(
     a: object,
     b: object = None,
 ) -> Callable[[float], float]:
-    """The closure of an op node.  `shape` has one letter per operand: "x"
-    and "c" are x and a constant, read in place, and "f" is a subtree's
-    closure, called.  `a` and `b` are the operands: the constant or the
-    closure (unused for "x").  Operands evaluate left to right, a call
+    """The closure of an op node.  `shape` is one of "f", "xc", "cx",
+    "cf", "fc" and "ff", one letter per operand: "x" and "c" are x and a
+    constant, read in place, and "f" is a closure, called.  `a` and `b`
+    are the operands: the constant or the closure (unused for "x").  Operands evaluate left to right, a call
     before the try, so that an error it raises keeps its own node.  The
     try around the `OPS` call turns a domain error into
     EvalDomainError(message, node, x); an op with no message catches
     nothing, `except ()`, and lets its error through as it is."""
     errors = _DOMAIN_ERRORS if message is not None else ()
-    if shape == "x":
-        def op(x: float) -> float:
-            try:
-                return fn(x)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "f":
+    if shape == "f":
         def op(x: float) -> float:
             value = a(x)
             try:
                 return fn(value)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "xx":
-        def op(x: float) -> float:
-            try:
-                return fn(x, x)
             except errors:
                 raise EvalDomainError(message, node, x) from None
     elif shape == "xc":
@@ -368,25 +360,11 @@ def _op_closure(
                 return fn(a, x)
             except errors:
                 raise EvalDomainError(message, node, x) from None
-    elif shape == "xf":
-        def op(x: float) -> float:
-            rhs = b(x)
-            try:
-                return fn(x, rhs)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
     elif shape == "cf":
         def op(x: float) -> float:
             rhs = b(x)
             try:
                 return fn(a, rhs)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "fx":
-        def op(x: float) -> float:
-            lhs = a(x)
-            try:
-                return fn(lhs, x)
             except errors:
                 raise EvalDomainError(message, node, x) from None
     elif shape == "fc":
