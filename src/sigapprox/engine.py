@@ -54,7 +54,6 @@ __all__ = [
     "SurrogateNotApplicableError",
     "compute_eta",
     "compute_recipe",
-    "unit_centers",
     "build_approximant",
     "evaluate",
     "validate",
@@ -238,13 +237,6 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     )
 
 
-def unit_centers(partition: UniformPartition) -> tuple[float, ...]:
-    """Centers of G's units in output order: x_0 for the f(a) unit, then
-    x_2..x_{N+1}.  x_1 = a carries no unit of its own."""
-    pts = partition.points
-    return (pts[0],) + pts[2:]
-
-
 @dataclass(frozen=True)
 class SigmoidApproximant:
     """The network G: shared slope w, centers from the widened partition,
@@ -300,8 +292,10 @@ class SigmoidApproximant:
 
     @cached_property
     def centers(self) -> tuple[float, ...]:
-        """Unit centers in output order; see `unit_centers`."""
-        return unit_centers(self.partition)
+        """Centers of G's units in output order: x_0 for the f(a) unit, then
+        x_2..x_{N+1}.  x_1 = a carries no unit of its own."""
+        pts = self.partition.points
+        return (pts[0],) + pts[2:]
 
     @cached_property
     def unit_coeffs(self) -> tuple[float, ...]:

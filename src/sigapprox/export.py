@@ -13,9 +13,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
+from itertools import chain, islice
 from typing import IO, Any, Callable, Iterable, Iterator, Union
 
-from .engine import Recipe, SigmoidApproximant, evaluate, unit_centers
+from .engine import Recipe, SigmoidApproximant, evaluate
 from .expressions import FunctionSpec, format_ast
 from .partition import unif_part, uniform_grid
 
@@ -28,7 +29,6 @@ __all__ = [
     "read_network_document",
     "write_samples",
     "samples_file",
-    "replacing",
     "SAMPLES_HEADER",
 ]
 
@@ -123,12 +123,11 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     # a nan slope would fail unit 0's own weight check and an inf one its
     # bias check, so the slope is refused by name before either
     SigmoidApproximant.check_slope(w)
-    # bound to a name so the tuple lives until return: freeing it when the
-    # loop ends raised peak RSS by 0.7 MB on the large-n workload (N ~ 1e5)
-    centers = unit_centers(p)
+    # the unit centers, x_0 then x_2..x_{N+1}, as G's `centers` holds them
+    pts = p.points
     neg_w = -w
     coeffs = []
-    for unit, center in zip(units, centers):
+    for unit, center in zip(units, chain((pts[0],), islice(pts, 2, None))):
         try:
             weight, bias, coeff = (unit["hidden_weight"], unit["hidden_bias"],
                                    unit["output_coefficient"])
@@ -174,12 +173,6 @@ def _number(record: Any, key: str, where: str) -> Union[int, float]:
     return value
 
 
-def _open_destination(destination: Destination):
-    if hasattr(destination, "write"):
-        return destination, False
-    return open(destination, "w", encoding="utf-8"), True
-
-
 def _json_value(value: Any) -> str:
     """`value` as json.dump(..., indent=2) writes it inside a unit."""
     if type(value) is float and math.isfinite(value):
@@ -210,11 +203,11 @@ def write_network_document(doc: dict[str, Any], destination: Destination) -> Non
     """Write `doc` byte for byte as json.dump(doc, fh, indent=2) and a
     newline would, streaming the units one record at a time.  Every unit
     must hold exactly UNIT_KEYS, in that order: the first unit that does
-    not raises ValueError, and the output stops before it."""
+    not raises ValueError, and the output stops before it: a path keeps
+    what it held, and a stream holds the units before it."""
     if "units" not in doc:
         raise ValueError("a network document needs units")
-    fh, owned = _open_destination(destination)
-    try:
+    with _output(destination) as fh:
         sep = "{\n"
         for key, value in doc.items():
             fh.write(sep)
@@ -226,9 +219,6 @@ def write_network_document(doc: dict[str, Any], destination: Destination) -> Non
                 # a one-member object less its braces is that member at depth 1
                 fh.write(json.dumps({key: value}, indent=2)[2:-2])
         fh.write("\n}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_network_document(source: Union[str, os.PathLike, IO[str]]) -> dict[str, Any]:
@@ -238,17 +228,6 @@ def read_network_document(source: Union[str, os.PathLike, IO[str]]) -> dict[str,
         return json.load(fh)
 
 
-def _row_writer(fh: IO[str]) -> Callable[[float, float, float], None]:
-    """The samples CSV's one row format: row(x, f(x), G(x)) writes
-    x, f(x), G(x) and |G - f| at full round-trip precision."""
-    write = fh.write
-
-    def row(x: float, fx: float, gx: float) -> None:
-        write(f"{x!r},{fx!r},{gx!r},{abs(gx - fx)!r}\n")
-
-    return row
-
-
 def write_samples(
     g: SigmoidApproximant,
     spec: FunctionSpec,
@@ -256,26 +235,18 @@ def write_samples(
     destination: Destination,
 ) -> int:
     """Emit CSV rows (x, f(x), G(x), |G - f|) on a uniform grid of [a, b]
-    with both endpoints, ascending x, full round-trip precision.  Returns
+    with both endpoints, ascending x, through `samples_file`.  Returns
     the number of data rows written."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    a, b = spec.interval.a, spec.interval.b
-    fh, owned = _open_destination(destination)
-    try:
-        fh.write(SAMPLES_HEADER + "\n")
-        row = _row_writer(fh)
-        for x in uniform_grid(a, b, grid_size):
-            fx = spec(x)
-            row(x, fx, evaluate(g, x))
-    finally:
-        if owned:
-            fh.close()
+    with samples_file(destination) as row:
+        for x in uniform_grid(spec.interval.a, spec.interval.b, grid_size):
+            row(x, spec(x), evaluate(g, x))
     return grid_size
 
 
 @contextmanager
-def replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
+def _replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
     """An open text file that takes the place of `path` when the block ends
     normally.  It is a temporary file beside `path`, created on entry, so
     an unwritable path fails before the block runs.  When the block raises,
@@ -296,9 +267,26 @@ def replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
 
 
 @contextmanager
-def samples_file(path: Union[str, os.PathLike]) -> Iterator[Callable[[float, float, float], None]]:
-    """A row sink for `engine.validate(..., row=)` that writes the samples
-    CSV of `write_samples` to `path` through `replacing`."""
-    with replacing(path) as fh:
-        fh.write(SAMPLES_HEADER + "\n")
-        yield _row_writer(fh)
+def _output(destination: Destination) -> Iterator[IO[str]]:
+    """The one sink of every writer here: a stream is written through and
+    left open, and a path goes through `_replacing`."""
+    if hasattr(destination, "write"):
+        yield destination
+    else:
+        with _replacing(destination) as fh:
+            yield fh
+
+
+@contextmanager
+def samples_file(destination: Destination) -> Iterator[Callable[[float, float, float], None]]:
+    """The samples CSV: its header, then a row sink for
+    `engine.validate(..., row=)` and `write_samples`.  row(x, f(x), G(x))
+    writes x, f(x), G(x) and |G - f| at full round-trip precision."""
+    with _output(destination) as fh:
+        write = fh.write
+        write(SAMPLES_HEADER + "\n")
+
+        def row(x: float, fx: float, gx: float) -> None:
+            write(f"{x!r},{fx!r},{gx!r},{abs(gx - fx)!r}\n")
+
+        yield row

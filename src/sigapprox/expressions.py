@@ -43,7 +43,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Union
 
 from .partition import uniform_grid
@@ -184,12 +184,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             bad_at = len(text) - len(stripped)
             raise LexError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -200,6 +196,11 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        # sums and products.  Partials, not methods that call _left_assoc:
+        # each level then costs one Python frame, as a loop of its own
+        # would, so nested parentheses reach the recursion limit no sooner
+        self.term = partial(self._left_assoc, self.factor, "*/")
+        self.expr = partial(self._left_assoc, self.term, "+-")
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -222,25 +223,15 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {val!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def _left_assoc(self, operand: Callable[[], Node], symbols: str) -> Node:
+        """operand (symbol operand)*, grouped from the left."""
+        node = operand()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = Binary(_BINARY_OP[val], node, self.term())
-            else:
+            if kind != "op" or val not in symbols:
                 return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = Binary(_BINARY_OP[val], node, self.factor())
-            else:
-                return node
+            self.advance()
+            node = Binary(_BINARY_OP[val], node, operand())
 
     def factor(self) -> Node:
         kind, val, _ = self.peek()

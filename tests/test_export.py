@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from sigapprox.engine import (
     evaluate,
     validate,
 )
-from sigapprox.expressions import FunctionSpec
+from sigapprox.expressions import EvalDomainError, FunctionSpec
 from sigapprox.export import (
     SAMPLES_HEADER,
     approximant_from_document,
@@ -629,3 +630,84 @@ def test_samples_file_unwritable_directory_raises_on_entry(tmp_path):
     with pytest.raises(FileNotFoundError):
         sink.__enter__()
     assert list(tmp_path.iterdir()) == []
+
+
+# the README quick start's network, with L and M_f supplied
+def quick_start():
+    return pipeline("sin(6*pi*x)", 6 * math.pi, 1.0, 0.05)
+
+
+def failing_document_write(path):
+    """write_network_document of a document whose unit 3 has other keys:
+    the writer raises after three units."""
+    spec, recipe, g = quick_start()
+    doc = to_network_document(g, recipe, spec)
+    doc["units"][3] = {"a": 1}
+    with pytest.raises(ValueError, match="unit 3 has keys"):
+        write_network_document(doc, path)
+
+
+def failing_network_write(path):
+    """write_network with a recipe whose L is a Fraction: every unit is
+    written, then the metadata is not JSON."""
+    spec, recipe, g = quick_start()
+    recipe = dataclasses.replace(recipe, lipschitz=Fraction(recipe.lipschitz))
+    with pytest.raises(TypeError, match="Fraction"):
+        write_network(g, recipe, spec, path)
+
+
+def failing_samples_write(path):
+    """write_samples of ln(0.5 - x), which is undefined from x = 0.5 on, so
+    the rows stop half-way through the grid."""
+    spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
+    undefined = FunctionSpec.from_text("ln(0.5-x)", 0, 1)
+    with pytest.raises(EvalDomainError, match=r"at x=0\.5\b"):
+        write_samples(g, undefined, 101, path)
+
+
+@pytest.mark.parametrize(
+    "fail",
+    [failing_document_write, failing_network_write, failing_samples_write],
+    ids=["write_network_document", "write_network", "write_samples"],
+)
+def test_a_path_write_that_fails_part_way_keeps_the_previous_file(fail, tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"old")
+    fail(path)
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    # a path that held nothing is not made
+    fail(tmp_path / "new")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def _write_each(destination):
+    spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
+    return {
+        "write_network_document": lambda: write_network_document(
+            to_network_document(g, recipe, spec), destination),
+        "write_network": lambda: write_network(g, recipe, spec, destination),
+        "write_samples": lambda: write_samples(g, spec, 11, destination),
+    }
+
+
+@pytest.mark.parametrize("writer", ["write_network_document", "write_network", "write_samples"])
+def test_a_stream_is_written_through_and_left_open(writer, tmp_path):
+    path = tmp_path / "out"
+    _write_each(path)[writer]()
+    out = io.StringIO()
+    out.write("before\n")
+    _write_each(out)[writer]()
+    assert not out.closed
+    out.write("after\n")
+    assert out.getvalue() == "before\n" + path.read_text(encoding="utf-8") + "after\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_samples_file_takes_a_stream():
+    spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
+    out = io.StringIO()
+    with samples_file(out) as row:
+        report = validate(g, spec, 0.2, 11, row)
+    assert not out.closed
+    assert (report, out.getvalue()) == reference_samples_csv(g, spec, 0.2, 11)

@@ -36,6 +36,16 @@ def test_parse_variable():
     assert parse("x") == Var()
 
 
+def test_two_hundred_nested_parentheses_parse():
+    # a nesting level is four parser frames, so 200 levels stay under
+    # Python's default recursion limit of 1000
+    assert parse("(" * 200 + "x" + ")" * 200) == Var()
+    want = Var()
+    for _ in range(200):
+        want = Unary("sin", want)
+    assert parse("sin(" * 200 + "x" + ")" * 200) == want
+
+
 def test_parse_wiggly_structure():
     ast = parse(WIGGLY)
     assert isinstance(ast, Binary) and ast.op == "add"
