@@ -17,7 +17,6 @@ from .engine import (
     SigmoidApproximant,
     SurrogateNotApplicableError,
     build_approximant,
-    compute_eta,
     compute_recipe,
     error_decomposition,
     evaluate,

@@ -52,7 +52,6 @@ __all__ = [
     "DecompositionReport",
     "RecipeError",
     "SurrogateNotApplicableError",
-    "compute_eta",
     "compute_recipe",
     "build_approximant",
     "evaluate",
@@ -140,16 +139,6 @@ class DecompositionReport:
     i2_bound: float
 
 
-def compute_eta(epsilon: float, m_f: float, m_sigma: float) -> float:
-    """eta = eps / (M_f + 2*M_sigma + 2); the denominator is >= 2, so
-    eta <= eps/2."""
-    if not 0.0 < epsilon < math.inf:
-        raise RecipeError("epsilon must be positive and finite")
-    if m_f < 0.0 or m_sigma < 0.0:
-        raise RecipeError("M_f and M_sigma must be nonnegative")
-    return epsilon / (m_f + 2.0 * m_sigma + 2.0)
-
-
 def _exact(name: str, value: float) -> Fraction:
     """`value` as an exact rational; an estimated bound can be inf or nan."""
     if not math.isfinite(value):
@@ -177,7 +166,7 @@ def compute_recipe(spec: FunctionSpec, epsilon: float) -> Recipe:
     else:
         m_f, m_f_source = estimate_sup(spec), ESTIMATED
 
-    eta = compute_eta(epsilon, m_f, M_SIGMA)
+    eta = epsilon / (m_f + 2.0 * M_SIGMA + 2.0)  # M_f >= 0, so eta <= eps/2
     # N is floored exactly over the input doubles: any N > max(...) meets
     # the proof's hypothesis, and a rounded candidate can miss an integer
     q_eta = Fraction(epsilon) / (_exact("M_f", m_f) + 2 * Fraction(M_SIGMA) + 2)
@@ -286,10 +275,6 @@ class SigmoidApproximant:
     def unit_count(self) -> int:
         return self.partition.n_intervals + 1
 
-    def coeff(self, k: int) -> float:
-        """Output weight of the unit centered at x_k, k in {2..N+1}."""
-        return self.coeffs[k - 2]
-
     @cached_property
     def centers(self) -> tuple[float, ...]:
         """Centers of G's units in output order: x_0 for the f(a) unit, then
@@ -314,11 +299,6 @@ class SigmoidApproximant:
         return array("d", accumulate(self.unit_coeffs))
 
     @cached_property
-    def _cmax(self) -> float:
-        # bound on every coefficient that can sit right of x in `evaluate`
-        return max(map(abs, self.coeffs), default=0.0)
-
-    @cached_property
     def _kernel(self) -> tuple:
         """The per-network constants of `evaluate` and `validate`, read in
         one go: w, centers and unit coefficients (tuples), prefix sums
@@ -336,7 +316,8 @@ class SigmoidApproximant:
         centers = self.centers
         gap = min(map(sub, islice(centers, 1, None), centers))
         d = min(1.0, 2.0 * math.exp(-w * gap) * LOOKAHEAD_SLACK)
-        cmax = self._cmax
+        # bound on every coefficient that can sit right of x in `evaluate`
+        cmax = max(map(abs, self.coeffs), default=0.0)
         floor = LOOKAHEAD_FLOOR * max(1.0, cmax)
         neg = NEG_CUTOFF / w
         xlo, xhi = (-_MAX, _MAX) if neg >= -_MAX / 4 else (math.inf, -math.inf)
@@ -613,13 +594,13 @@ def surrogate_L(g: SigmoidApproximant, i: int, x: float) -> float:
     pts = g.partition.points
     if not (pts[i] <= x <= pts[i + 1]):
         raise ValueError(f"x={x!r} not in cell [{pts[i]!r}, {pts[i + 1]!r}]")
-    # the left-to-right fold of coeff0 and coeff(2)..coeff(i-1), i.e. of
-    # unit coefficients 0..i-2.  x and both centers lie in one cell of
-    # finite points, so x - c is finite, and w * (x - c) overflows only
-    # far beyond the cutoffs, where the kernel's 1.0 and 0.0 are exact
+    # the left-to-right fold of unit coefficients 0..i-2; coeffs[k - 2] is
+    # x_k's.  x and both centers lie in one cell of finite points, so
+    # x - c is finite, and w * (x - c) overflows only far beyond the
+    # cutoffs, where the kernel's 1.0 and 0.0 are exact
     acc = g._prefix[i - 2]
-    acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
-    acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
+    acc += g.coeffs[i - 2] * sigmoid(g.w * (x - pts[i]))
+    acc += g.coeffs[i - 1] * sigmoid(g.w * (x - pts[i + 1]))
     return acc
 
 

@@ -166,27 +166,24 @@ _DOMAIN_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 FUNCTIONS = tuple(name for name, (_, symbol, _, _) in OPS.items() if symbol == name)
 _BINARY_OP = {symbol: name for name, (arity, symbol, _, _) in OPS.items() if arity == 2}
 
+# every character falls in exactly one group, so the matches tile the text
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise LexError(f"unexpected character {text[bad_at]!r}", bad_at)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise LexError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -278,8 +275,15 @@ class _Parser:
 
 def parse(text: str) -> Node:
     """Parse `text` into an AST; raises LexError / ExprSyntaxError /
-    UnknownIdentifierError with the offending position."""
-    return _Parser(text).parse()
+    UnknownIdentifierError with the offending position (for nesting past
+    the recursion limit, that of the next token)."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the limit can strike after the end of input was read
+        _, _, pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
+        raise ExprSyntaxError("expression nests too deeply", pos) from None
 
 
 def _closure(node: Node) -> tuple[Callable[[float], float], Optional[float]]:
@@ -475,8 +479,12 @@ class FunctionSpec:
 
     @cached_property
     def _evaluate(self) -> Callable[[float], float]:
-        """The closure of `ast`, built on the first call of f."""
-        return _closure(self.ast)[0]
+        """The closure of `ast`, built on the first call of f; ExprError
+        for a tree past the recursion limit, such as a 600-term sum."""
+        try:
+            return _closure(self.ast)[0]
+        except RecursionError:
+            raise ExprError("expression nests too deeply to evaluate") from None
 
     def __getstate__(self) -> dict:
         # the closure does not pickle; the copy builds its own on demand

@@ -41,7 +41,10 @@ def stirling2(n: int, k: int) -> int:
     """S(n, k): the number of partitions of an n-set into k nonempty blocks.
 
     Exact for any n, k; k > n is permitted and yields 0.  Computed without
-    row n, from the alternating sum
+    row n.  Where d = n - k has d^2 <= k, from the band D_m[i] = S(m, m - i),
+    i = 0..d, by the row recurrence D_m[i] = (m - i)*D_{m-1}[i-1] + D_{m-1}[i]
+    from D_0 = (1, 0, ..., 0), in n*d products.  Elsewhere from the
+    alternating sum
 
         S(n, k) = sum_{j=0}^{k} (-1)^(k-j) C(k, j) j^n / k!
 
@@ -53,6 +56,13 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("n and k must be nonnegative")
     if k > n:
         return 0
+    d = n - k
+    if d * d <= k:
+        band = [1] + [0] * d
+        for m in range(1, n + 1):
+            for i in range(d, 0, -1):
+                band[i] += (m - i) * band[i - 1]
+        return band[d]
     total = 0
     binom = 1  # C(k, j)
     for j in range(k + 1):

@@ -8,15 +8,17 @@ The exceptions are `reference_G`, which defines what "bit-identical"
 means for the evaluator and so must use the library's own sigmoid,
 `sigmoid_deriv1` and `sigmoid_deriv2`, the product forms of the first two
 derivatives over the library's sigmoid kernel and its input guard, and
-`reference_validate`, the validation walk as it was before it walked the
-sigmoid window: it calls `evaluate`, which bisects at every point.  The
-grid references spell the grid formula out rather than calling the
-library's generator, the network document's layout is whatever the json
-module makes of it, N is the paper's formula in rational arithmetic,
-written out apart from the recipe code, the samples CSV is what a second,
-separate walk of the grid writes, and expressions are evaluated by a chain
-of per-op branches with explicit domain checks instead of the library's
-operator table.
+`reference_validate`, which takes G from `evaluate` (a bisection at
+every point, where `validate` walks the sigmoid window), its points and
+rows from the grid references and f from a call at every point, apart
+from `validate`'s merge of grid and knots and its reuse of the build's f
+values.  The grid references spell the grid formula out rather than
+calling the library's generator, the network document's layout is
+whatever the json module makes of it, N is the paper's formula in
+rational arithmetic, written out apart from the recipe code, the samples
+CSV is what a second, separate walk of the grid writes, and expressions
+are evaluated by a chain of per-op branches with explicit domain checks
+instead of the library's operator table.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ import io
 import json
 import math
 from fractions import Fraction
-from itertools import islice, repeat
 from typing import Any, Callable, Iterator, Optional
 
 import mpmath as mp
 
-from sigapprox.engine import ErrorReport, _with_knots, evaluate, validate
+from sigapprox.engine import ErrorReport, evaluate, validate
 from sigapprox.export import write_samples
 from sigapprox.expressions import Binary, Const, EvalDomainError, Pi, Unary, Var
-from sigapprox.partition import uniform_grid
 from sigapprox.sigmoid import _require_finite, finite_sigmoid, sigmoid
 
 
@@ -144,35 +144,34 @@ def reference_G(g, x: float) -> float:
 
 
 def reference_validate(g, spec, epsilon: float, grid_size: int, row=None) -> ErrorReport:
-    """`engine.validate` with G from `evaluate` at every distinct point:
-    the same ErrorReport and the same row(x, f(x), G(x)) calls, or the same
-    exception."""
+    """`engine.validate` written out: f from `spec` and G from `evaluate`
+    at each point of `reference_validation_grid`, in ascending order, then
+    row(x, f(x), G(x)) for each point of `reference_uniform_grid` equal to
+    it.  The same ErrorReport and row calls, or the same exception."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
-    built = g.built_from
-    values = built[1] if built is not None and built[0] is spec else repeat(None)
-    knots = ((p, v) for p, v in zip(islice(g.partition.points, 1, None), values) if a < p < b)
+    points = reference_validation_grid(a, b, grid_size, g.partition.points)
+    rows = reference_uniform_grid(a, b, grid_size)
+    j = 0
     sup = -1.0
     argmax = a
-    count = 0
-    prev = fx = gx = math.nan
-    for x, on_grid, known in _with_knots(uniform_grid(a, b, grid_size), knots):
-        if x != prev:
-            prev = x
-            count += 1
-            fx = spec(x) if known is None else known
-            gx = evaluate(g, x)
-            err = abs(gx - fx)
-            if not err <= sup and math.isfinite(sup):
-                sup = err
-                argmax = x
-        if on_grid and row is not None:
-            row(x, fx, gx)
+    for x in points:
+        fx = spec(x)
+        gx = evaluate(g, x)
+        err = abs(gx - fx)
+        # the first error that is not finite stays
+        if not err <= sup and math.isfinite(sup):
+            sup = err
+            argmax = x
+        while j < len(rows) and rows[j] == x:
+            if row is not None:
+                row(rows[j], fx, gx)
+            j += 1
     return ErrorReport(
-        grid_size=count,
+        grid_size=len(points),
         sup_error=sup,
         argmax_x=argmax,
         target_epsilon=float(epsilon),

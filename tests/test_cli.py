@@ -1,7 +1,7 @@
 import io
 import json
 import math
-import os
+import re
 import subprocess
 import sys
 
@@ -358,20 +358,33 @@ def test_emit_formats_every_line_before_printing_any(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+# Runs the CLI with the arguments given, then prints its own peak RSS as
+# a last line "VmHWM_kB = <kB>".
+PEAK_RSS_CHILD = """
+import sys
+from sigapprox.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(f"VmHWM_kB = {peak}")
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_stirling_of_a_large_n_in_bounded_memory():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "sigapprox.cli", "stirling", "--n", "1500", "--k", "3"],
-        stdout=subprocess.PIPE, text=True,
+    # the child's own high-water mark, which exec starts afresh: the
+    # ru_maxrss of os.wait4 keeps the forking parent's across fork and exec,
+    # so it read pytest's peak once that passed the bound
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "stirling", "--n", "1500", "--k", "3"],
+        capture_output=True, text=True,
     )
-    out = proc.stdout.read()
-    proc.stdout.close()
-    # wait4 gives this child's own peak RSS, not that of every child reaped
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert parse_lines(out)["value"] == str((3**1500 - 3 * 2**1500 + 3) // 6)
-    assert usage.ru_maxrss < 64 * 1024, f"peak RSS {usage.ru_maxrss} kB"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    values = parse_lines(proc.stdout)
+    assert values["value"] == str((3**1500 - 3 * 2**1500 + 3) // 6)
+    peak = int(values["VmHWM_kB"])
+    assert peak < 64 * 1024, f"peak RSS {peak} kB"
 
 
 def test_saturation_values(capsys):
@@ -420,6 +433,60 @@ def test_saturation_slope_overflow_exits_3(capsys):
     code, out, err = run(capsys, ["saturation", "--n", "5", "--h", "1e-320"])
     assert (code, out) == (3, "")
     assert err == "error: omega = ln(N - 1)/h overflows for h = 1e-320\n"
+
+
+@pytest.mark.parametrize(("flags", "message"), [
+    (["--a", "1", "--b", "1"], "need --a < --b, got 1.0 >= 1.0"),
+    (["--a", "0", "--b", "1", "--sup", "-0.5"], "--sup must be nonnegative"),
+    (["--a", "0", "--b", "1", "--delta", "0"], "--delta must be positive"),
+    (["--a", "0", "--b", "1", "--delta", "-1"], "--delta must be positive"),
+])
+def test_bad_interval_and_bound_flags_exit_2(capsys, flags, message):
+    code, out, err = run(capsys, ["recipe", "--fn", "x", "--eps", "0.1", *flags])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [["--n", "-1"], ["--n", "3", "--k", "-1"],
+                                   ["--n", "-1", "--k", "0"]])
+def test_negative_stirling_flags_exit_2(capsys, flags):
+    code, out, err = run(capsys, ["stirling", *flags])
+    assert (code, out, err) == (2, "", "error: --n and --k must be nonnegative\n")
+
+
+@pytest.mark.parametrize("h", ["0", "-0.5"])
+def test_saturation_rejects_h_at_or_below_0(capsys, h):
+    code, out, err = run(capsys, ["saturation", "--n", "5", "--h", h])
+    assert (code, out, err) == (2, "", "error: --h must be positive\n")
+
+
+def _approximate(fn, *flags):
+    return ["approximate", "--fn", fn, "--a", "0", "--b", "1", "--eps", "0.5", *flags]
+
+
+@pytest.mark.parametrize("opener", ["(", "sin("])
+def test_an_f_nested_past_the_recursion_limit_exits_2(capsys, opener):
+    fn = opener * 300 + "x" + ")" * 300
+    code, out, err = run(capsys, _approximate(fn, "--lipschitz", "1", "--sup", "1"))
+    assert (code, out) == (2, "")
+    # the position is that of the token the parser reached
+    m = re.fullmatch(r"error: cannot parse --fn: expression nests too deeply "
+                     r"at position (\d+)\n", err)
+    assert m and fn[int(m[1]):].startswith(opener), err
+
+
+@pytest.mark.parametrize("terms", [600, 5000])
+def test_a_sum_too_long_to_evaluate_exits_3(capsys, terms):
+    # parsed by a loop, but its closures nest one level per term
+    fn = "+".join(["x"] * terms)
+    bounds = ["--lipschitz", "1", "--sup", "1"]
+    code, out, err = run(capsys, _approximate(fn, *bounds))
+    assert (code, out, err) == (3, "", "error: expression nests too deeply to evaluate\n")
+    code, out, err = run(capsys, _approximate(fn))
+    assert (code, out, err) == (3, "", "error: expression nests too deeply to evaluate\n")
+    # with both bounds supplied, the recipe never evaluates f
+    code, out, err = run(capsys, ["recipe", *_approximate(fn, *bounds)[1:]])
+    assert (code, err) == (0, "")
+    assert parse_lines(out)["M_f_source"] == "supplied"
 
 
 def test_grammar_help_lists_the_functions():

@@ -20,7 +20,6 @@ from sigapprox.engine import (
     SigmoidApproximant,
     SurrogateNotApplicableError,
     build_approximant,
-    compute_eta,
     compute_recipe,
     error_decomposition,
     evaluate,
@@ -79,21 +78,11 @@ def manual_recipe(a, b, n, w=None, eta=0.01, m_f=1.0, m_sigma=1.0):
     )
 
 
-def test_compute_eta_values():
-    assert compute_eta(0.01, 1.05, 1.0) == pytest.approx(0.01 / 5.05, rel=1e-15)
-    assert compute_eta(1.0, 0.0, 0.0) == 0.5
-    assert compute_eta(0.1, 2.0, 1.0) == pytest.approx(0.1 / 6.0, rel=1e-15)
-    with pytest.raises(RecipeError):
-        compute_eta(0.0, 1.0, 1.0)
-
-
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_epsilon_must_be_positive_and_finite(eps):
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, compute_recipe(spec, 0.2))
     message = "^epsilon must be positive and finite$"
-    with pytest.raises(RecipeError, match=message):
-        compute_eta(eps, 1.0, 1.0)
     with pytest.raises(RecipeError, match=message):
         compute_recipe(spec, eps)
     with pytest.raises(ValueError, match=message):
@@ -474,12 +463,12 @@ def test_fast_path_bit_identical():
     cases.append((g, [rng.uniform(-0.2, 1.2) for _ in range(200)]))
     # constant f: every forward difference is 0, so cmax = 0
     g = build_approximant(make_spec("3", 1.0, 3.0), manual_recipe(0, 1, 200))
-    assert g._cmax == 0.0
+    assert _cmax(g) == 0.0
     cases.append((g, [rng.uniform(-0.2, 1.2) for _ in range(500)]))
     # abs kink: the largest coefficients lie right of every x < 0.5
     g = build_approximant(make_spec("x + 3*abs(x-0.5)", 4.0, 1.5),
                           manual_recipe(0, 1, 300))
-    assert max(map(abs, g.coeffs[:140])) < g._cmax
+    assert max(map(abs, g.coeffs[:140])) < _cmax(g)
     cases.append((g, [rng.uniform(0.3, 0.5) for _ in range(1000)]))
     # G near the powers of two 1 and 2, approached from both sides
     g = build_approximant(make_spec("x + 1", 1.0, 2.0), manual_recipe(0, 1, 300))
@@ -510,9 +499,15 @@ def test_fast_path_bit_identical():
             assert _bits(evaluate(g, x)) == _bits(reference_G(g, x)), x
 
 
+def _cmax(g):
+    """max |coeffs|: the bound on every coefficient right of x in the exit
+    rule of `evaluate`, from the forward differences themselves."""
+    return max(map(abs, g.coeffs), default=0.0)
+
+
 def _lookahead_d(g):
     """The lookahead factor D = tail / cmax of `evaluate`'s exit rule."""
-    return g._kernel[4] / g._cmax
+    return g._kernel[4] / _cmax(g)
 
 
 def _lookahead_cases(rng):
@@ -581,7 +576,7 @@ def _window_rule_calls(g, x, d=1.0):
     cmax * d * s < ulp(acc)/8, and, while |acc| is below 2^-1000 *
     max(1, cmax), only once cmax * s < ulp(acc)/8 as well.  d = 1 is the
     rule without the lookahead."""
-    w, centers, coeffs, cmax = g.w, g.centers, g.unit_coeffs, g._cmax
+    w, centers, coeffs, cmax = g.w, g.centers, g.unit_coeffs, _cmax(g)
     lo = bisect_left(centers, x - POS_CUTOFF / w)
     hi = bisect_right(centers, x - NEG_CUTOFF / w)
     acc = g._prefix[lo - 1] if lo > 0 else 0.0
@@ -1057,10 +1052,11 @@ def test_surrogate_matches_reference_fold():
     for i in (3, 4, 5, 17, r.n // 2, r.n - 1, r.n):
         x = 0.5 * (pts[i] + pts[i + 1])
         acc = g.coeff0
+        # coeffs[k - 2] is the output weight of the unit centered at x_k
         for k in range(2, i):
-            acc += g.coeff(k)
-        acc += g.coeff(i) * sigmoid(g.w * (x - pts[i]))
-        acc += g.coeff(i + 1) * sigmoid(g.w * (x - pts[i + 1]))
+            acc += g.coeffs[k - 2]
+        acc += g.coeffs[i - 2] * sigmoid(g.w * (x - pts[i]))
+        acc += g.coeffs[i - 1] * sigmoid(g.w * (x - pts[i + 1]))
         assert _bits(surrogate_L(g, i, x)) == _bits(acc)
 
 
@@ -1071,7 +1067,7 @@ def test_surrogate_takes_the_limits_of_sigma_where_its_argument_overflows():
     g = SigmoidApproximant(w=1e300, partition=p, coeff0=1.0,
                            coeffs=tuple(float(k) for k in range(2, 10)))
     x = 0.5 * (p.points[3] + p.points[4])
-    assert surrogate_L(g, 3, x) == g._prefix[1] + g.coeff(3)
+    assert surrogate_L(g, 3, x) == g._prefix[1] + g.coeffs[1]
 
 
 def test_surrogate_rejects_small_index():
@@ -1081,6 +1077,22 @@ def test_surrogate_rejects_small_index():
         surrogate_L(g, 2, 0.15)
     with pytest.raises(ValueError):
         surrogate_L(g, 11, 0.95)
+
+
+def test_surrogate_rejects_x_outside_its_cell():
+    spec = make_spec("x", 1.0, 1.0)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 10))
+    pts = g.partition.points
+    for x in (math.nextafter(pts[3], -math.inf), 0.35, math.nextafter(pts[4], math.inf)):
+        with pytest.raises(ValueError, match=rf"^x={x!r} not in cell \[{pts[3]!r}, {pts[4]!r}\]$"):
+            surrogate_L(g, 3, x)
+
+
+def test_build_refuses_a_recipe_for_another_interval():
+    spec = make_spec("x", 1.0, 1.0)
+    for a, b in ((0.0, 2.0), (-1.0, 1.0)):
+        with pytest.raises(RecipeError, match="^recipe interval does not match the function spec$"):
+            build_approximant(spec, manual_recipe(a, b, 10))
 
 
 def test_decomposition_zero_function():

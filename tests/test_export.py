@@ -185,6 +185,18 @@ def test_write_network_matches_the_document_writer(make, tmp_path):
     assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
+def test_writer_refuses_a_document_with_no_units(tmp_path):
+    doc = n1_document()
+    del doc["units"]
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="^a network document needs units$"):
+        write_network_document(doc, out)
+    assert out.getvalue() == ""
+    with pytest.raises(ValueError, match="^a network document needs units$"):
+        write_network_document(doc, tmp_path / "net.json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_lays_out_empty_units_as_json_does():
     doc = dict(n1_document(), units=[])
     out = io.StringIO()

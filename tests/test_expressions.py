@@ -11,6 +11,7 @@ from sigapprox.expressions import (
     Binary,
     Const,
     EvalDomainError,
+    ExprError,
     ExprSyntaxError,
     FunctionSpec,
     Interval,
@@ -46,6 +47,40 @@ def test_two_hundred_nested_parentheses_parse():
     assert parse("sin(" * 200 + "x" + ")" * 200) == want
 
 
+@pytest.mark.parametrize("opener", ["(", "sin("])
+def test_nesting_past_the_recursion_limit_is_a_syntax_error(opener):
+    text = opener * 300 + "x" + ")" * 300
+    with pytest.raises(ExprSyntaxError, match="^expression nests too deeply at position") as exc:
+        parse(text)
+    # the token the parser reached when the limit stopped it
+    assert text[exc.value.position:].startswith(opener)
+
+
+def test_nesting_that_reaches_the_limit_at_the_end_of_input_is_a_syntax_error():
+    # for one depth near the limit, at one of four stack offsets (a level
+    # is four frames), the limit strikes after the end of input was read
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("(" * 1000)
+    limit = exc.value.position
+
+    def nested(extra, text):
+        return parse(text) if extra == 0 else nested(extra - 1, text)
+
+    for extra in range(4):
+        for depth in range(limit - 3, limit + 4):
+            with pytest.raises(ExprSyntaxError):
+                nested(extra, "(" * depth)
+
+
+def test_a_sum_too_deep_to_evaluate_raises_expr_error_at_each_call():
+    # the parser loops over the terms; the closures nest one level per term
+    spec = FunctionSpec.from_text("+".join(["x"] * 5000), 0, 1)
+    for _ in range(2):
+        with pytest.raises(ExprError, match="^expression nests too deeply to evaluate$") as exc:
+            spec(0.5)
+        assert type(exc.value) is ExprError
+
+
 def test_parse_wiggly_structure():
     ast = parse(WIGGLY)
     assert isinstance(ast, Binary) and ast.op == "add"
@@ -64,6 +99,11 @@ def test_incomplete_expression_position():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("1 +")
     assert exc.value.position == 3
+
+
+def test_unclosed_parenthesis():
+    with pytest.raises(ExprSyntaxError, match=r"^expected '\)' at position 2$"):
+        parse("(x")
 
 
 def test_unknown_identifier():
@@ -106,6 +146,12 @@ def test_pow_requires_constant_exponent():
     with pytest.raises(ExprSyntaxError):
         parse("2^x")
     parse("x^(1+1)")  # constant expression exponents are fine
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\n", " \t\n"])
+def test_trailing_whitespace_makes_no_tokens(space):
+    assert expressions._tokenize("x" + space) == [("ident", "x", 0), ("eof", "", 1 + len(space))]
+    assert parse("x" + space) == Var()
 
 
 def test_no_implicit_multiplication():
@@ -173,6 +219,14 @@ def test_finite_result_through_an_infinite_intermediate_is_kept():
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
+    for a, b in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
+            Interval(a, b)
+    with pytest.raises(ValueError, match="^sup_bound must be nonnegative when supplied$"):
+        FunctionSpec.from_text("x", 0, 1, sup_bound=-0.5)
+    for delta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^modulus_override must be positive when supplied$"):
+            FunctionSpec.from_text("x", 0, 1, modulus_override=delta)
     with pytest.raises(ValueError):
         FunctionSpec.from_text("x", 0, 1, lipschitz=-1.0)
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sigapprox.limits import boundary_residual, sigmoid_saturation_slope
+from sigapprox.limits import SaturationSlope, boundary_residual, sigmoid_saturation_slope
 from sigapprox.sigmoid import sigmoid
 
 
@@ -25,6 +25,11 @@ def test_sigmoid_saturation_slope_preconditions():
         sigmoid_saturation_slope(1.0, 2)
     with pytest.raises(ValueError):
         sigmoid_saturation_slope(0.0, 10)
+    # ln(4)/inf = 0.0
+    with pytest.raises(ValueError, match="^omega must be positive$"):
+        sigmoid_saturation_slope(math.inf, 5)
+    with pytest.raises(ValueError, match="^h and tol must be positive$"):
+        SaturationSlope(omega=1.0, h=0.0, tol=0.25)
 
 
 def test_monotone_sharpening():

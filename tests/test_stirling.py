@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -62,6 +62,8 @@ def test_rows_past_the_kept_range_are_built_and_not_kept():
 
 
 def test_single_values_match_the_rows():
+    # both sides of the band rule (n - k)^2 <= k, with n - k up to 7 on
+    # the band's side
     for n in range(61):
         row = stirling_row(n)
         assert [stirling2(n, k) for k in range(n + 1)] == list(row)
@@ -79,6 +81,15 @@ def test_a_single_value_does_not_build_its_row(monkeypatch):
     assert v.bit_length() == 17597
     assert v % (2**61 - 1) == 988355253242174308
     assert stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+
+
+def test_values_near_the_diagonal_take_the_band():
+    # S(n, n-1) = C(n, 2): one block of two.  S(n, n-2) = C(n, 3) + 3*C(n, 4):
+    # one block of three, or two blocks of two
+    for n in list(range(2, 40)) + [100, 999, 1000, 2999, 3000]:
+        assert stirling2(n, n - 1) == comb(n, 2)
+        if n >= 3:
+            assert stirling2(n, n - 2) == comb(n, 3) + 3 * comb(n, 4)
 
 
 def test_row_shape():
