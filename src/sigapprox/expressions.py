@@ -479,12 +479,8 @@ class FunctionSpec:
 
     @cached_property
     def _evaluate(self) -> Callable[[float], float]:
-        """The closure of `ast`, built on the first call of f; ExprError
-        for a tree past the recursion limit, such as a 600-term sum."""
-        try:
-            return _closure(self.ast)[0]
-        except RecursionError:
-            raise ExprError("expression nests too deeply to evaluate") from None
+        """The closure of `ast`, built on the first call of f."""
+        return _closure(self.ast)[0]
 
     def __getstate__(self) -> dict:
         # the closure does not pickle; the copy builds its own on demand
@@ -498,13 +494,18 @@ class FunctionSpec:
         EvalDomainError("overflow ...") carrying the first node, in
         evaluation order, whose value is not finite.  Only the result is
         checked: a finite result reached through an infinite intermediate,
-        such as 1/(1e300*x*1e300) = 0.0 at x = 1, is returned as it is."""
-        value = self._evaluate(x)
-        if not math.isfinite(value):
-            node = next(
-                n for n in _post_order(self.ast) if not math.isfinite(evaluate_ast(n, x))
-            )
-            raise EvalDomainError(f"overflow in {format_ast(node)}", node, x)
+        such as 1/(1e300*x*1e300) = 0.0 at x = 1, is returned as it is.
+        A tree too deep to build or run the closures at this call's stack
+        depth, such as a 1,500-term sum, raises ExprError."""
+        try:
+            value = self._evaluate(x)
+            if not math.isfinite(value):
+                node = next(
+                    n for n in _post_order(self.ast) if not math.isfinite(evaluate_ast(n, x))
+                )
+                raise EvalDomainError(f"overflow in {format_ast(node)}", node, x)
+        except RecursionError:
+            raise ExprError("expression nests too deeply to evaluate") from None
         return value
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,30 @@ def test_a_sum_too_deep_to_evaluate_raises_expr_error_at_each_call():
         with pytest.raises(ExprError, match="^expression nests too deeply to evaluate$") as exc:
             spec(0.5)
         assert type(exc.value) is ExprError
+
+
+def test_a_sum_built_at_one_depth_and_called_deeper_raises_expr_error():
+    # the closures are built by the first call; a later call from a deeper
+    # stack can reach the recursion limit while running them
+    spec = FunctionSpec.from_text("+".join(["x"] * 200), 0, 1)
+    assert spec(0.5) == 100.0
+
+    def at_depth(n, fn):
+        return fn() if n == 0 else at_depth(n - 1, fn)
+
+    # the deepest n at which a call still runs, found by the same frames
+    # the call below takes, however a Python version counts them
+    lo, hi = 0, sys.getrecursionlimit()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            at_depth(mid, lambda: None)
+            lo = mid
+        except RecursionError:
+            hi = mid
+    with pytest.raises(ExprError, match="^expression nests too deeply to evaluate$"):
+        at_depth(lo - 50, lambda: spec(0.5))
+    assert spec(0.5) == 100.0
 
 
 def test_parse_wiggly_structure():
