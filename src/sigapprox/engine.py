@@ -38,7 +38,7 @@ from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
 from .limits import sigmoid_saturation_slope
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
 # The unit loop `_window_sum`, which `evaluate` and `validate` call, and
-# `surrogate_L` pass the sigmoid only finite arguments (see `evaluate`'s
+# `surrogate_L` pass the sigmoid only finite arguments (see `_window_sum`'s
 # docstring), so this module's name `sigmoid` is the kernel without the
 # input guard.  They call it through this module-level name:
 # wrapping `engine.sigmoid` counts the sigmoid calls per G, as the
@@ -311,7 +311,7 @@ class SigmoidApproximant:
         difference of consecutive centers, taken from the stored doubles.
         The range is [-MAX, MAX] unless the window offsets exceed MAX/4,
         which takes w below about 1.7e-305; it is then empty, and every x
-        goes through `_check_window`."""
+        goes through `_window_sum`'s guard."""
         w = self.w
         centers = self.centers
         gap = min(map(sub, islice(centers, 1, None), centers))
@@ -344,19 +344,6 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     return g
 
 
-def _check_window(x: float, centers: tuple[float, ...], lo: int, stop: float) -> None:
-    """Raise ValueError unless x is finite and x - c is finite for every
-    center c in the window centers[lo:hi] that `_window_sum` visits from lo
-    to stop, hi = bisect_right(centers, stop).  Centers ascend, so x - c is
-    largest at lo and smallest at hi - 1."""
-    if not -_MAX <= x <= _MAX:
-        raise ValueError("x must be finite")
-    hi = bisect_right(centers, stop)
-    if lo < hi and not (x - centers[lo] <= _MAX and x - centers[hi - 1] >= -_MAX):
-        raise ValueError(f"x = {x!r} is too far from the unit centers: "
-                         "x - c overflows for a unit in the sigmoid window")
-
-
 def evaluate(g: SigmoidApproximant, x: float) -> float:
     """G(x), bit-identical to the naive sum over all units in ascending
     center order.  Evaluation outside [a, b] is permitted; the certificate
@@ -364,9 +351,9 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
 
     `evaluate` finds the start of x's sigmoid window with one bisection of
     the centers and passes it to `_window_sum`, the one copy of the unit
-    loop, which finds the window's end itself.  `validate` calls the same
-    loop, with window starts it walks along its ascending points instead
-    of bisecting at each one.
+    loop, which ends the window and guards x itself.  `validate` calls the
+    same loop, with window starts it walks along its ascending points
+    instead of bisecting at each one.
 
     Three shortcuts skip units without changing a bit of the result:
 
@@ -418,37 +405,20 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     units than the D = 1 rule would.  When acc is 0 or subnormal,
     ulp(acc)/8 is 0 or underflows, so the loop never leaves early there.
 
-    Why every t is finite.  The loop calls the sigmoid kernel, which has
-    no input guard, so the guard is here, once per call: x must be finite.
-    The centers are finite (`unif_part` refuses a partition that is not)
-    and 0 < w < inf (`SigmoidApproximant` refuses any other slope).  The
-    window keeps t within about [-747, 37]: a visited center c lies
-    between fl(x - pos) and fl(x - neg), with pos = POS_CUTOFF/w and
-    neg = NEG_CUTOFF/w, and since x is itself a double, the double nearest
-    x - pos lies within pos of it.  So -2*|neg| <= x - c <= 2*pos, and
-    t = w*(x - c) lies in [-1494, 74] up to rounding.  When ulp(x)/4
-    exceeds both offsets, both ends of the window round to x, only units
-    with c == x are visited, and t = 0.  The bound on x - c keeps it
-    finite while |neg| <= MAX/4.  A smaller slope, below about 1.7e-305,
-    leaves the window wider than the doubles, so `_check_window` refuses
-    an x at which x - c overflows for a unit in the window; the guarded
-    sigmoid refused such an x as well, once the loop reached that unit.
+    Why every t is finite: see `_window_sum`, which guards x.
     """
     kernel = g._kernel
-    _, centers, _, _, _, pos, neg, _, _, _, xlo, xhi = kernel
     x = float(x)
-    lo = bisect_left(centers, x - pos)
-    stop = x - neg
-    if not xlo <= x <= xhi:
-        _check_window(x, centers, lo, stop)
-    return _window_sum(kernel, x, lo, stop)
+    # kernel[1] is the centers and kernel[5] the offset pos (see `_kernel`)
+    return _window_sum(kernel, x, bisect_left(kernel[1], x - kernel[5]))
 
 
-def _window_sum(kernel: tuple, x: float, lo: int, stop: float) -> float:
+def _window_sum(kernel: tuple, x: float, lo: int) -> float:
     """G(x) from the window that starts at lo, the first center at or above
-    fl(x - pos), and ends before the first center above stop = fl(x - neg):
-    the prefix sum of the units left of lo, then the unit loop with its
-    exact early exit (see `evaluate`).  This is the only copy of the loop.
+    fl(x - pos), pos = POS_CUTOFF/w, and ends before the first center above
+    stop = fl(x - neg), neg = NEG_CUTOFF/w: the prefix sum of the units
+    left of lo, then the unit loop with its exact early exit (see
+    `evaluate`).  The only copy of the loop, the window's end and the guard.
 
     The loop finds the window's end itself.  It tests each center against
     stop before that unit's sigmoid, and the centers ascend, so it visits
@@ -457,8 +427,29 @@ def _window_sum(kernel: tuple, x: float, lo: int, stop: float) -> float:
     sigmoid calls and the same double.  The lookahead exit almost always
     leaves before stop (about 6 units visited against a window of about
     68 at N = 99,487), so one comparison per visited unit costs less than
-    a bisection of all the centers."""
-    w, centers, coeffs, prefix, tail, _, _, cmax, floor, end, _, _ = kernel
+    a bisection of all the centers.
+
+    Why every t is finite.  The sigmoid kernel has no input guard, so the
+    guard is here, once per call.  The centers are finite (`unif_part`) and
+    0 < w < inf (`SigmoidApproximant`).  A visited center c lies between
+    fl(x - pos) and fl(x - neg), each within its offset of the exact value
+    since x is a double, so -2*|neg| <= x - c <= 2*pos and t = w*(x - c)
+    lies in [-1494, 74] up to rounding (when ulp(x)/4 exceeds both offsets,
+    only units with c == x are visited, and t = 0).  That keeps x - c
+    finite while |neg| <= MAX/4, so a finite x in the kernel's range
+    [xlo, xhi] needs no check.  Outside it (every x, once w is below about
+    1.7e-305), x must be finite and x - c must not overflow on
+    centers[lo:hi]; it is largest at lo and smallest at hi - 1, so two
+    subtractions decide.  The guarded sigmoid refused such an x as well."""
+    w, centers, coeffs, prefix, tail, _, neg, cmax, floor, end, xlo, xhi = kernel
+    stop = x - neg
+    if not xlo <= x <= xhi:
+        if not -_MAX <= x <= _MAX:
+            raise ValueError("x must be finite")
+        hi = bisect_right(centers, stop)
+        if lo < hi and not (x - centers[lo] <= _MAX and x - centers[hi - 1] >= -_MAX):
+            raise ValueError(f"x = {x!r} is too far from the unit centers: "
+                             "x - c overflows for a unit in the sigmoid window")
     sig = sigmoid
     ulp = math.ulp
     acc = prefix[lo - 1] if lo > 0 else 0.0
@@ -522,23 +513,27 @@ def validate(
     the next: every center left of lo passed the test at an earlier point
     and passes it again.  The centers ascend, so the walk stops at the
     first center that fails the test, which is
-    bisect_left(centers, x - pos): the start `evaluate` bisects.  The end
-    is the same stop = fl(x - neg) that `evaluate` passes, and the unit
-    loop finds it (see `_window_sum`).  `_check_window` runs under the
-    same condition as there, and G(x) comes from the same loop, so it is
-    the double `evaluate` returns.  lo never moves left, so the walk costs
-    O(N + points) comparisons in all, where bisecting costs O(log N) at
-    every point."""
+    bisect_left(centers, x - pos): the start `evaluate` bisects.  The
+    window's end and the guard on x are `_window_sum`'s, as for `evaluate`,
+    so G(x) is the double `evaluate` returns, or the same ValueError.  lo
+    never moves left, so the walk costs O(N + points) comparisons in all,
+    where bisecting costs O(log N) at every point.
+
+    The knots are the slice of the ascending partition points inside
+    (a, b), searched from x_1: x_0 = a - h is a unit center only."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
+    points = g.partition.points
+    i = bisect_right(points, a, 1)
     built = g.built_from
-    values = built[1] if built is not None and built[0] is spec else repeat(None)
-    knots = ((p, v) for p, v in zip(islice(g.partition.points, 1, None), values) if a < p < b)
+    reuse = built is not None and built[0] is spec
+    values = islice(built[1], i - 1, None) if reuse else repeat(None)
+    knots = zip(islice(points, i, bisect_left(points, b, i)), values)
     kernel = g._kernel
-    _, centers, _, _, _, pos, neg, _, _, end, xlo, xhi = kernel
+    _, centers, _, _, _, pos, _, _, _, end, _, _ = kernel
     lo = 0
     sup = -1.0
     argmax = a
@@ -554,10 +549,7 @@ def validate(
             start = x - pos
             while lo < end and centers[lo] < start:
                 lo += 1
-            stop = x - neg
-            if not xlo <= x <= xhi:
-                _check_window(x, centers, lo, stop)
-            gx = _window_sum(kernel, x, lo, stop)
+            gx = _window_sum(kernel, x, lo)
             err = abs(gx - fx)
             # `not <=` is also true for nan; once sup is inf or nan it stays
             if not err <= sup and math.isfinite(sup):

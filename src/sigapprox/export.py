@@ -99,12 +99,14 @@ def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
     three numbers must be ints or floats (not bools, strings or null),
     the unit count must be N + 1, and every unit must be an object that
     holds unit 0's hidden weight w and the bias -w * x_k that
-    `to_network_document` wrote, bit for bit.  A document that fails
-    raises ValueError naming the metadata key, or the unit and its key.
+    `to_network_document` wrote, bit for bit.  A failing document raises
+    ValueError naming its type, the metadata key, or the unit and its key.
     The slope, unit 0's hidden weight, goes through
     `SigmoidApproximant.check_slope` before any unit is compared, and the
     network through `SigmoidApproximant`, which refuses an output
     coefficient that is not finite; both raise RecipeError, a ValueError."""
+    if type(doc) is not dict:
+        raise ValueError(f"the document is a {type(doc).__name__}, not an object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("activation") != "sigmoid":

@@ -193,6 +193,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.xs = 0  # x tokens read so far: an exponent must read none
         # sums and products.  Partials, not methods that call _left_assoc:
         # each level then costs one Python frame, as a loop of its own
         # would, so nested parentheses reach the recursion limit no sooner
@@ -239,8 +240,9 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.advance()
+            xs = self.xs
             exponent = self.factor()
-            if any(isinstance(n, Var) for n in _post_order(exponent)):
+            if self.xs != xs:
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression", pos
                 )
@@ -256,6 +258,7 @@ class _Parser:
             return Const(value)
         if kind == "ident":
             if val == "x":
+                self.xs += 1
                 return Var()
             if val == "pi":
                 return Pi()

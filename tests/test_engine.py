@@ -766,7 +766,7 @@ def _walk_cases(draw):
     windows bisected.  Intervals are ordinary, a few ulps wide, where
     partition and grid points repeat, or nearly as wide as the doubles.
     G is built from f or made by hand, with slopes below about 1.7e-305
-    among them, which send every point through `_check_window`."""
+    among them, which send every point through `_window_sum`'s guard."""
     shape = draw(st.sampled_from(["ordinary", "ulps", "small-w", "huge"]))
     if shape == "huge":
         # x - x_0 at x = b, b - a + h, overflows for some and not others
@@ -814,7 +814,7 @@ def _validation(validator, g, spec, grid):
 
 
 def _overflowing_case():
-    # x - x_0 overflows at x = b, so `_check_window` refuses b
+    # x - x_0 overflows at x = b, so `_window_sum`'s guard refuses b
     p = unif_part(-0.8e308, 0.8e308, 3)
     g = SigmoidApproximant(w=1e-320, partition=p, coeff0=0.5, coeffs=(0.25, -0.5, 1.0))
     return g, FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0), 3
@@ -967,7 +967,7 @@ def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
     # point; no such network can be made, so the unit loop is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, stop: math.nan)
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo: math.nan)
     rep = validate(g, spec, 0.2, 11)
     assert rep.passed is False
     assert math.isnan(rep.sup_error)
@@ -981,8 +981,8 @@ def test_validate_keeps_the_first_infinite_error(monkeypatch):
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     real = engine._window_sum
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo, stop: (
-        real(kernel, x, lo, stop) if x < 0.56 else math.inf if x < 0.81 else math.nan))
+    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo: (
+        real(kernel, x, lo) if x < 0.56 else math.inf if x < 0.81 else math.nan))
     xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
     errs = [abs(engine.evaluate(g, x) - spec(x)) for x in xs]
     first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
@@ -998,7 +998,7 @@ def test_validate_a_later_finite_error_does_not_replace_nan(monkeypatch):
     spec = make_spec("0", 1.0, 0.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     monkeypatch.setattr(
-        engine, "_window_sum", lambda kernel, x, lo, stop: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
+        engine, "_window_sum", lambda kernel, x, lo: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
     )
     rep = validate(g, spec, 0.1, 5)
     assert math.isnan(rep.sup_error)

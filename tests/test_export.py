@@ -423,6 +423,12 @@ def test_document_validation_errors():
         approximant_from_document(bad)
 
 
+@pytest.mark.parametrize("doc,name", [([], "list"), (None, "NoneType"), ("x", "str")])
+def test_a_document_that_is_not_an_object_is_refused_by_its_type(doc, name):
+    with pytest.raises(ValueError, match=f"^the document is a {name}, not an object$"):
+        approximant_from_document(doc)
+
+
 def test_document_is_plain_json(tmp_path):
     spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
     path = tmp_path / "network.json"

@@ -173,6 +173,32 @@ def test_pow_requires_constant_exponent():
     parse("x^(1+1)")  # constant expression exponents are fine
 
 
+@pytest.mark.parametrize("text,position", [
+    ("2^x", 1), ("x^2^x", 3), ("2^3^x", 3), ("2^(1+x)", 1), ("2^-x", 1), ("2^sin(x)", 1),
+    ("(2^x)^2", 2), ("x^x^2", 1), ("2^(x-x)", 1), ("x^(2^x)", 4),
+])
+def test_an_exponent_with_x_is_refused_at_its_caret(text, position):
+    # the innermost '^' whose exponent reads x, once that exponent is parsed
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    want = f"exponent of '^' must be a constant expression at position {position}"
+    assert str(exc.value) == want
+    assert exc.value.position == position
+
+
+def test_a_900_deep_pow_chain_parses_without_rescanning_its_exponents(monkeypatch):
+    # a '^' that walked its whole exponent would parse the chain in cubic time
+    calls = []
+    walk = expressions._post_order
+    monkeypatch.setattr(expressions, "_post_order", lambda node: calls.append(node) or walk(node))
+    node = parse("2^" * 900 + "1")
+    assert calls == []
+    for _ in range(900):
+        assert node.op == "pow" and node.left == Const(2.0)
+        node = node.right
+    assert node == Const(1.0)
+
+
 @pytest.mark.parametrize("space", [" ", "\t", "\n", " \t\n"])
 def test_trailing_whitespace_makes_no_tokens(space):
     assert expressions._tokenize("x" + space) == [("ident", "x", 0), ("eof", "", 1 + len(space))]
