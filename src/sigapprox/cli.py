@@ -41,6 +41,20 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    r"""An ArgumentParser that takes every token float() reads, such as
+    -1e-3 or -inf, for a value.  argparse's own test for a negative number,
+    ^-\d+$|^-\d*\.\d+$, has no exponent, so `--a -1e-3` failed with
+    "expected one argument"; no sigapprox option looks like a number."""
+
+    def _parse_optional(self, arg_string: str) -> Any:
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @contextmanager
 def _any_digits() -> Iterator[None]:
     """Let ints of any size convert to decimal text in the block.  Python's
@@ -133,9 +147,12 @@ def _writing(path: str) -> Iterator[None]:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse a directory for either output flag, and one path for both."""
+    """Refuse an empty path or a directory for either output flag, and one
+    path for both."""
     outputs = {"--out-network": args.out_network, "--out-samples": args.out_samples}
     for flag, path in outputs.items():
+        if path == "":
+            raise UsageError(f"{flag} is an empty path")
         if path and os.path.isdir(path):
             raise UsageError(f"{flag} {path} is a directory")
     if args.out_network and args.out_samples and (
@@ -219,7 +236,7 @@ def cmd_saturation(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigapprox",
         description=(
             "Certified single-hidden-layer sigmoid approximation of "

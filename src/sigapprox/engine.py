@@ -324,6 +324,26 @@ class SigmoidApproximant:
         return (w, centers, self.unit_coeffs, self._prefix, cmax * d,
                 POS_CUTOFF / w, neg, cmax, floor, len(centers), xlo, xhi)
 
+    @cached_property
+    def _knot_slack(self) -> float:
+        """s(G): a bound on |G(x_k) - Q_k| at a knot whose window leaves out
+        unit 0, or inf where `validate`'s proof of it does not hold (see
+        there).  With q = exp(-w*gap)*LOOKAHEAD_SLACK, W = ceil(1600/(w*gap))
+        + 1 units at most in a window and gamma_n = n*2^-53/(1 - n*2^-53),
+
+            s = (2*cmax*q/(1 - q) + gamma_{4W+8}*(max|P| + 2*W*cmax)
+                 + 2^-1000) * (1 + 2^-30)."""
+        w, centers, _, prefix, _, _, _, cmax, _, _, xlo, _ = self._kernel
+        wg = w * min(map(sub, islice(centers, 1, None), centers))
+        q = math.exp(-wg) * LOOKAHEAD_SLACK
+        if q >= 1.0 or xlo == math.inf:
+            return math.inf
+        span = math.ceil(1600.0 / wg) + 1
+        n = (4 * span + 8) * 2.0**-53
+        pmax = max(map(abs, prefix))
+        return (2.0 * cmax * q / (1.0 - q) + n / (1.0 - n) * (pmax + 2.0 * span * cmax)
+                + 2.0**-1000) * (1.0 + 2.0**-30)
+
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
     """Construct G for the recipe: one f evaluation at each partition point
@@ -467,18 +487,18 @@ def _window_sum(kernel: tuple, x: float, lo: int) -> float:
 
 
 def _with_knots(
-    grid: Iterator[float], knots: Iterator[tuple[float, Optional[float]]]
-) -> Iterator[tuple[float, bool, Optional[float]]]:
-    """Merge the ascending grid and the ascending (x, f(x) or None) knots
-    into (x, True, None) for each grid point and (x, False, f(x) or None)
-    for each knot; a knot equal to a grid point comes after it.  The grid
-    ends at b and every knot lies below b, so no knot is left over."""
-    knot, known = next(knots, (math.inf, None))
+    grid: Iterator[float], knots: Iterator[tuple[float, Optional[float], int]]
+) -> Iterator[tuple[float, Optional[float], int]]:
+    """Merge the ascending grid and the ascending knots (x, f(x) or None, u)
+    into (x, None, -1) for each grid point and the knot's own triple for
+    each knot; a knot equal to a grid point comes after it.  The grid ends
+    at b and every knot lies below b, so no knot is left over."""
+    knot = next(knots, (math.inf, None, -1))
     for x in grid:
-        while knot < x:
-            yield knot, False, known
-            knot, known = next(knots, (math.inf, None))
-        yield x, True, None
+        while knot[0] < x:
+            yield knot
+            knot = next(knots, (math.inf, None, -1))
+        yield x, None, -1
 
 
 def validate(
@@ -493,14 +513,15 @@ def validate(
     Pass iff the measured sup is below epsilon.  Ties on the sup go to the
     leftmost point.  The grid is streamed: memory is O(1) in grid_size.
 
-    f and G are evaluated once per distinct point, except that a knot
-    takes f from the build when `spec` is the very object G was built from
-    (see `SigmoidApproximant.built_from`); f is then evaluated only at the
-    distinct uniform-grid points.  If `row` is given, it is called as
-    row(x, f(x), G(x)) for each of the grid_size uniform-grid points in
-    ascending order, a repeated point included (with the values already
-    computed) and the knots left out; the report is the same with or
-    without it.
+    f is evaluated once per distinct point, except that a knot takes f
+    from the build when `spec` is the very object G was built from (see
+    `SigmoidApproximant.built_from`); f is then evaluated only at the
+    distinct uniform-grid points.  G is evaluated once per distinct point,
+    except at a knot whose error provably sits below the running sup (see
+    below).  If `row` is given, it is called as row(x, f(x), G(x)) for
+    each of the grid_size uniform-grid points in ascending order, a
+    repeated point included (with the values already computed) and the
+    knots left out; the report is the same with or without it.
 
     A G that evaluates to inf or nan fails: the first point where |G - f|
     is not finite gives sup_error and argmax_x, and no later point
@@ -520,7 +541,67 @@ def validate(
     where bisecting costs O(log N) at every point.
 
     The knots are the slice of the ascending partition points inside
-    (a, b), searched from x_1: x_0 = a - h is a unit center only."""
+    (a, b), searched from x_1: x_0 = a - h is a unit center only.  Knot
+    x_k with k >= 2 is the center of unit u = k - 1; x_1 = a has no unit
+    and gets u = 0.
+
+    Skipping G at a knot.  At knot x_k with unit u, the unit's argument is
+    t = w*(x_k - c_u) = 0 exactly and sigma(0) = 1/2 exactly, so the
+    computed G(x_k) is the fold of P[lo-1], then c_j*s_j for the window's
+    units j = lo..u-1, then fl(c_u/2), then the units right of x_k that the
+    loop visits, where P is G's prefix sums and c its unit coefficients.
+    Its closed form is Q_k = fl(P[u-1] + fl(c_u/2)): P[u-1] continues the
+    same fold from P[lo-1] with every s_j taken as 1.  When 0 < lo <= u
+    (unit 0, whose coefficient f(a) is not bounded by cmax, lies left of
+    the window; x_1 never passes, since there u = 0), every unit in the
+    window has |c_j| <= cmax = max|coeffs|, and
+
+        |G(x_k) - Q_k| <= 2*cmax*q/(1 - q) + R <= s(G)
+
+    (`SigmoidApproximant._knot_slack`), with eps = 2^-53 and:
+
+    - The tails.  Centers ascend at least gap apart, so the m-th unit on
+      either side has |t| >= m*w*gap up to rounding, and both 1 - s_j
+      (left) and s_j (right) are at most e^-|t| up to rounding, since
+      sigma(-t) <= e^-t for t >= 0.  With q = e^(-w*gap)*(1 + 2^-20) the
+      m-th term is at most cmax*q^m: |t| <= 1600 in the window (see
+      `_window_sum`), so the rounding of t, of w*gap, of exp and of the
+      sigmoid moves e^-|t| by a relative 1e-12 at most, far inside
+      (1 + 2^-20)^m.  Each side sums to at most cmax*q/(1 - q).
+    - The rounding.  A window spans at most 1568/w, so it holds at most
+      W = ceil(1600/(w*gap)) + 1 units.  The fold in G rounds at most W
+      additions, each by eps times a partial sum below max|P| + 2*W*cmax;
+      P[u-1] continues its fold from P[lo-1] with at most W additions, each
+      rounded by eps times a prefix sum; Q_k adds one more.  Each product
+      c_j*s_j and each left 1 - s_j adds a few eps*cmax.  All of it is
+      below gamma_{4W+8}*(max|P| + 2*W*cmax), where gamma_n = n*eps/(1 -
+      n*eps).  A sigmoid or a product near underflow adds an absolute
+      2^-1074 besides (times cmax for the sigmoid), which the same term and
+      2^-1000 cover.
+    - s(G) is computed with about ten roundings of positive terms, which
+      its factor 1 + 2^-30 covers.
+
+    So a knot is skipped when fl(|Q_k - f(x_k)|) < cut, where
+    cut = fl(fl(sup*(1 - 2^-50)) - s(G)) is set whenever sup changes.  Then
+    the |G - f| validate would have computed is strictly below sup: cut > 0
+    gives sup > s(G) >= 2^-1000, so the product is normal and
+    fl(sup*(1 - 2^-50)) <= sup*(1 - 7 eps); with y = |Q_k - f(x_k)|,
+    y*(1 - eps) <= fl(y) < (fl(sup*(1 - 2^-50)) - s(G))*(1 + eps), and
+    fl(|G - f|) <= (y + s(G))*(1 + eps) < sup*(1 + eps)^2*(1 - 7 eps)
+    /(1 - eps) < sup.  A skipped point can neither become the sup nor tie
+    it, and the sup only grows, so the report is bit for bit that of
+    evaluating G there.  cut is negative until the first point, nan once
+    sup is nan and inf once sup is inf, when no later point changes the
+    report.  Where the proof does not hold, s(G) = inf and cut is never
+    above any error, so every knot is evaluated as before:
+    - q >= 1, as with a small hand-built slope or repeated centers;
+    - w below about 1.7e-305, where the kernel's range is empty and
+      `_window_sum` checks every x and may refuse it, while the proof takes
+      G(x_k) to be computed;
+    - the terms of s(G) overflow, as when the prefix sums do.
+    With the paper's slope, w*gap is about ln(N - 1), so q is about
+    1/(N - 1) and s(G) is about 2*cmax/N: on the benchmark's large-n
+    network (N = 99,487) it is 1.4e-9, against a sup of 4.83e-5."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < epsilon < math.inf:
@@ -528,18 +609,20 @@ def validate(
     a, b = spec.interval.a, spec.interval.b
     points = g.partition.points
     i = bisect_right(points, a, 1)
+    j = bisect_left(points, b, i)
     built = g.built_from
     reuse = built is not None and built[0] is spec
     values = islice(built[1], i - 1, None) if reuse else repeat(None)
-    knots = zip(islice(points, i, bisect_left(points, b, i)), values)
+    knots = zip(islice(points, i, j), values, range(i - 1, j - 1))
     kernel = g._kernel
-    _, centers, _, _, _, pos, _, _, _, end, _, _ = kernel
+    _, centers, coeffs, prefix, _, pos, _, _, _, end, _, _ = kernel
+    slack = g._knot_slack
     lo = 0
-    sup = -1.0
+    sup = cut = -1.0
     argmax = a
     count = 0
     prev = fx = gx = math.nan
-    for x, on_grid, known in _with_knots(uniform_grid(a, b, grid_size), knots):
+    for x, known, u in _with_knots(uniform_grid(a, b, grid_size), knots):
         # equal points arrive together, so skipping repeats visits the
         # points of sorted(set(grid + knots)) in that order
         if x != prev:
@@ -549,13 +632,17 @@ def validate(
             start = x - pos
             while lo < end and centers[lo] < start:
                 lo += 1
+            # a grid point has u = -1 and is never skipped
+            if 0 < lo <= u and abs(prefix[u - 1] + coeffs[u] * 0.5 - fx) < cut:
+                continue
             gx = _window_sum(kernel, x, lo)
             err = abs(gx - fx)
             # `not <=` is also true for nan; once sup is inf or nan it stays
             if not err <= sup and math.isfinite(sup):
                 sup = err
                 argmax = x
-        if on_grid and row is not None:
+                cut = sup * (1.0 - 2.0**-50) - slack
+        if u < 0 and row is not None:
             row(x, fx, gx)
     return ErrorReport(
         grid_size=count,

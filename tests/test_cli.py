@@ -702,3 +702,40 @@ def test_directory_output_exits_2_before_f(capsys, monkeypatch, tmp_path, flag):
     assert err == f"error: {flag} {out_dir} is a directory\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--out-network", ""], ["--out-samples", ""],
+                                   ["--out-network", "", "--out-samples", ""],
+                                   ["--out-network", "net.json", "--out-samples", ""]])
+def test_an_empty_output_path_exits_2_before_f(capsys, monkeypatch, tmp_path, flags):
+    # an unset path variable in a script must not pass for "no output"
+    refuse_f(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, QUICK + flags)
+    empty = flags[flags.index("") - 1]
+    assert (code, out, err) == (2, "", f"error: {empty} is an empty path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("a", ["-1e-3", "-1E+2", "-2.5e-1"])
+def test_a_negative_value_in_scientific_notation_parses(capsys, a):
+    code, out, err = run(capsys, ["recipe", "--fn", "x", "--a", a, "--b", "1",
+                                  "--eps", "0.5", "--lipschitz", "1", "--sup", "1"])
+    assert (code, err) == (0, "")
+    values = parse_lines(out)
+    assert float(values["h"]) == (1.0 - float(a)) / int(values["N"])
+    code, out, err = run(capsys, ["derivative", "--x", a, "--n", "1"])
+    assert (code, err) == (0, "")
+    assert parse_lines(out)["x"] == repr(float(a))
+
+
+def test_a_negative_infinity_value_reaches_the_finiteness_check(capsys):
+    code, out, err = run(capsys, ["recipe", "--fn", "x", "--a", "-inf", "--b", "1",
+                                  "--eps", "0.5", "--lipschitz", "1", "--sup", "1"])
+    assert (code, out, err) == (2, "", "error: --a must be finite, got -inf\n")
+
+
+def test_a_flag_with_a_flag_for_its_value_still_exits_2(capsys):
+    code, out, err = run(capsys, ["recipe", "--fn", "x", "--a", "--b", "1", "--eps", "0.5"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --a: expected one argument\n")

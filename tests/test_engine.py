@@ -830,6 +830,130 @@ def test_validate_walks_to_the_windows_evaluate_bisects(case):
     assert isinstance(got[0], tuple) or "too far from the unit centers" in got[0]
 
 
+KNOT_FNS = ["sin(2*pi*x) + 0.5*x", WIGGLY, "x^2 - 3*x", "exp(x)*cos(9*x)"]
+
+
+@st.composite
+def _knot_networks(draw):
+    """(G, text, a, b) for the knot bound: G built from f = scale*(text) at
+    the paper's slope times a factor from 1e-6 to 3, or made by hand with
+    coefficients of magnitude scale, from 1e-300 to 1e300, and f(a) up to
+    1e16 times larger, where the rounding of the prefix sums outweighs the
+    tails."""
+    n = draw(st.integers(3, 2000))
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(1e-3, 10.0))
+    p = unif_part(a, b, n)
+    wh = math.log(n - 1.0) * draw(st.sampled_from([1e-6, 0.01, 0.3, 1.0, 1.0, 3.0]))
+    e = draw(st.integers(-300, 300))
+    text = f"{10.0**e!r}*({draw(st.sampled_from(KNOT_FNS))})"
+    if draw(st.booleans()):
+        spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
+        return build_approximant(spec, manual_recipe(a, b, n, w=wh / p.h)), text, a, b
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    coeffs = tuple(rng.uniform(-1.0, 1.0) * 10.0**e for _ in range(n))
+    coeff0 = rng.uniform(-1.0, 1.0) * 10.0 ** min(300, e + draw(st.integers(0, 16)))
+    return SigmoidApproximant(w=wh / p.h, partition=p, coeff0=coeff0, coeffs=coeffs), text, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_knot_networks())
+def test_g_at_a_knot_is_its_closed_form_within_the_knot_slack(case):
+    # `validate` skips G at a knot x_k whose window leaves out unit 0 on the
+    # bound |G(x_k) - (P[u-1] + c_u/2)| <= s(G), u = k - 1
+    g = case[0]
+    slack = g._knot_slack
+    gap = min(c2 - c1 for c1, c2 in zip(g.centers, g.centers[1:]))
+    # q >= 1 turns the skip off; so does an overflow in the slack's terms
+    assert slack == math.inf or math.exp(-g.w * gap) * (1.0 + 2.0**-20) < 1.0
+    pos = POS_CUTOFF / g.w
+    for u in range(1, g.unit_count):
+        x = g.centers[u]
+        if bisect_left(g.centers, x - pos) == 0:
+            continue
+        q = g._prefix[u - 1] + g.unit_coeffs[u] * 0.5
+        assert abs(evaluate(g, x) - q) <= slack, (u, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_knot_networks(), st.data())
+def test_validate_skips_knots_as_a_walk_that_evaluates_them_would_report(case, data):
+    # a spec equal to G's but not the one it was built from: f is evaluated
+    # again at every knot, and the grid is no finer than the partition, so
+    # most points are knots and the skip decides their fate
+    g, text, a, b = case
+    grid = data.draw(st.integers(2, g.partition.n_intervals + 1))
+    spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
+    got = _validation(validate, g, spec, grid)
+    assert got == _validation(reference_validate, g, spec, grid)
+
+
+def _counted_window_sums(monkeypatch):
+    count = [0]
+    real = engine._window_sum
+
+    def counted(kernel, x, lo):
+        count[0] += 1
+        return real(kernel, x, lo)
+
+    monkeypatch.setattr(engine, "_window_sum", counted)
+    return count
+
+
+def test_validate_evaluates_g_at_few_knots_of_the_papers_network(monkeypatch):
+    spec = make_spec("sin(2*pi*x) + 0.5*x", 2.0 * math.pi + 0.5, 1.5)
+    g = build_approximant(spec, compute_recipe(spec, 0.015))
+    assert g.partition.n_intervals == 4975
+    count = _counted_window_sums(monkeypatch)
+    rep = validate(g, spec, 0.015, 501)
+    # the grid's 501 points, and under 1% of the 4,974 knots
+    assert count[0] < 501 + 0.01 * 4974
+    assert g._knot_slack < 1e-3 * rep.sup_error
+    monkeypatch.undo()
+    assert rep == reference_validate(g, spec, 0.015, 501)
+
+
+# q = e^(-w*gap)*(1 + 2^-20) >= 1 once w*gap <= ln(1 + 2^-20) = 9.54e-7
+@pytest.mark.parametrize("wh", [1e-12, 9e-7])
+def test_validate_evaluates_g_at_every_point_where_q_reaches_1(wh, monkeypatch):
+    spec = make_spec("x", 1.0, 1.0)
+    g = build_approximant(spec, manual_recipe(0.0, 1.0, 300, w=wh * 300))
+    assert g._knot_slack == math.inf
+    count = _counted_window_sums(monkeypatch)
+    rep = validate(g, spec, 0.5, 101)
+    assert count[0] == rep.grid_size > 101
+
+
+def test_validate_evaluates_g_at_a_knot_whose_window_holds_the_f_a_unit():
+    # G(x) = sigma(w*(x - x_0)) with w*h = 2, and f is linear from G(a) to
+    # 1 at x_2, then 1: the error is 3e-6 at a and sigma(-4) = 0.018 at
+    # x_2, the sup.  There Q_2 = P[0] = 1 = f(x_2), but the f(a) unit's
+    # sigmoid is 1 - 0.018, not 1, so skipping x_2 would miss the sup
+    p = unif_part(0.0, 1.0, 10)
+    g = SigmoidApproximant(w=2.0 / p.h, partition=p, coeff0=1.0, coeffs=(0.0,) * 10)
+    spec = FunctionSpec.from_text("1 - 0.1192*(1 - 10*x + abs(1 - 10*x))/2", 0.0, 1.0,
+                                  lipschitz=2.0, sup_bound=1.0)
+    rep = validate(g, spec, 0.5, 2)
+    assert rep == reference_validate(g, spec, 0.5, 2)
+    assert rep.argmax_x == p.points[2] and 0.0179 < rep.sup_error < 0.0181
+
+
+def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkeypatch):
+    # w*h = 1.6, so q < 1, but w is below 1.7e-305, where the kernel's
+    # range is empty and every x goes through `_window_sum`'s guard
+    p = unif_part(-0.8e308, 0.8e308, 100)
+    rng = random.Random(3)
+    g = SigmoidApproximant(w=1e-306, partition=p, coeff0=0.5,
+                           coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(100)))
+    assert math.exp(-g.w * p.h) < 0.25 and g._kernel[-2:] == (math.inf, -math.inf)
+    assert g._knot_slack == math.inf
+    spec = FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0)
+    want = _validation(reference_validate, g, spec, 2)
+    count = _counted_window_sums(monkeypatch)
+    assert _validation(validate, g, spec, 2) == want
+    assert count[0] == want[0][0] == 2 + 99
+
+
 def _zero_networks():
     """Networks with f(a) = 0 and every forward difference 0.  tail is 0
     and the running sum stays 0, where ulp(0)/8 underflows, so the
