@@ -73,13 +73,20 @@ def _any_digits() -> Iterator[None]:
 
 
 def _emit(lines: list[tuple[str, Any]], as_json: bool) -> None:
-    """Print the lines, all formatted before the first is printed."""
+    """Print the lines, all formatted before the first is printed.  A reader
+    that closed stdout early ends the output quietly: fd 1 then points at
+    the null device, so the interpreter's last flush cannot raise again."""
     with _any_digits():
         if as_json:
             text = json.dumps(dict(lines))
         else:
             text = "\n".join(f"{key} = {value}" for key, value in lines)
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _check_finite(args: argparse.Namespace, *flags: str) -> None:

@@ -288,61 +288,52 @@ class SigmoidApproximant:
         return (self.coeff0,) + self.coeffs
 
     @cached_property
-    def _prefix(self) -> array:
-        # prefix[u] = left-fold of unit coefficients 0..u; identical to the
-        # naive ascending accumulation when every skipped sigmoid is 1.0.
-        # Packed doubles, 8 bytes each against 32 for a float in a tuple:
-        # `evaluate` and `surrogate_L` read one entry per call.  The centers
-        # and coefficients stay tuples, because the bisect and the unit
-        # loop read many entries per call, and each read from an array
-        # makes a new float object.
-        return array("d", accumulate(self.unit_coeffs))
-
-    @cached_property
     def _kernel(self) -> tuple:
-        """The per-network constants of `evaluate` and `validate`, read in
-        one go: w, centers and unit coefficients (tuples), prefix sums
-        (packed doubles, see `_prefix`), tail = cmax*D, the window offsets
-        POS_CUTOFF/w and NEG_CUTOFF/w, cmax, the lookahead's floor, the
-        unit count (the unit loop's bound, so that no G pays a `len` call)
-        and the range [xlo, xhi] of x that needs no check beyond being in
-        it.
-        D = min(1, 2*exp(-w*gap)*LOOKAHEAD_SLACK) with gap the smallest
-        difference of consecutive centers, taken from the stored doubles.
-        The range is [-MAX, MAX] unless the window offsets exceed MAX/4,
-        which takes w below about 1.7e-305; it is then empty, and every x
-        goes through `_window_sum`'s guard."""
-        w = self.w
-        centers = self.centers
-        gap = min(map(sub, islice(centers, 1, None), centers))
-        d = min(1.0, 2.0 * math.exp(-w * gap) * LOOKAHEAD_SLACK)
-        # bound on every coefficient that can sit right of x in `evaluate`
-        cmax = max(map(abs, self.coeffs), default=0.0)
-        floor = LOOKAHEAD_FLOOR * max(1.0, cmax)
-        neg = NEG_CUTOFF / w
-        xlo, xhi = (-_MAX, _MAX) if neg >= -_MAX / 4 else (math.inf, -math.inf)
-        return (w, centers, self.unit_coeffs, self._prefix, cmax * d,
-                POS_CUTOFF / w, neg, cmax, floor, len(centers), xlo, xhi)
+        """The one record of G's derived constants, computed once for
+        `evaluate`, `validate` and `surrogate_L`: w, centers and unit
+        coefficients (tuples, since the bisect and the unit loop read many
+        entries per call, and each read from an array makes a new float),
+        prefix sums (packed doubles, 8 bytes each against 32 for a float in
+        a tuple; a reader takes one per call), tail = cmax*D, the window
+        offsets POS_CUTOFF/w and NEG_CUTOFF/w, cmax, the lookahead's floor,
+        the unit count (the unit loop's bound, so that no G pays a `len`
+        call), the range [xlo, xhi] of x that needs no check beyond being
+        in it, and s(G).
 
-    @cached_property
-    def _knot_slack(self) -> float:
-        """s(G): a bound on |G(x_k) - Q_k| at a knot whose window leaves out
-        unit 0, or inf where `validate`'s proof of it does not hold (see
-        there).  With q = exp(-w*gap)*LOOKAHEAD_SLACK, W = ceil(1600/(w*gap))
-        + 1 units at most in a window and gamma_n = n*2^-53/(1 - n*2^-53),
+        gap is the smallest difference of consecutive centers, taken from
+        the stored doubles; with e = exp(-w*gap), D = min(1, 2*e*LOOKAHEAD_SLACK)
+        and q = e*LOOKAHEAD_SLACK.  The range is [-MAX, MAX] unless the
+        window offsets exceed MAX/4, which takes w below about 1.7e-305; it
+        is then empty, and every x goes through `_window_sum`'s guard.  s(G)
+        bounds |G(x_k) - Q_k| at a knot whose window leaves out unit 0 (see
+        `validate`): with W = ceil(1600/(w*gap)) + 1 units at most in a
+        window and gamma_n = n*2^-53/(1 - n*2^-53),
 
             s = (2*cmax*q/(1 - q) + gamma_{4W+8}*(max|P| + 2*W*cmax)
-                 + 2^-1000) * (1 + 2^-30)."""
-        w, centers, _, prefix, _, _, _, cmax, _, _, xlo, _ = self._kernel
+                 + 2^-1000) * (1 + 2^-30),
+
+        or inf where that proof does not hold: q >= 1, an empty range, or
+        terms that overflow."""
+        w = self.w
+        centers = self.centers
+        prefix = array("d", accumulate(self.unit_coeffs))
         wg = w * min(map(sub, islice(centers, 1, None), centers))
-        q = math.exp(-wg) * LOOKAHEAD_SLACK
-        if q >= 1.0 or xlo == math.inf:
-            return math.inf
-        span = math.ceil(1600.0 / wg) + 1
-        n = (4 * span + 8) * 2.0**-53
-        pmax = max(map(abs, prefix))
-        return (2.0 * cmax * q / (1.0 - q) + n / (1.0 - n) * (pmax + 2.0 * span * cmax)
-                + 2.0**-1000) * (1.0 + 2.0**-30)
+        e = math.exp(-wg)
+        q = e * LOOKAHEAD_SLACK
+        # bound on every coefficient that can sit right of x in `evaluate`
+        cmax = max(map(abs, self.coeffs), default=0.0)
+        neg = NEG_CUTOFF / w
+        xlo, xhi = (-_MAX, _MAX) if neg >= -_MAX / 4 else (math.inf, -math.inf)
+        slack = math.inf
+        if q < 1.0 and xlo < math.inf:
+            span = math.ceil(1600.0 / wg) + 1
+            n = (4 * span + 8) * 2.0**-53
+            slack = (2.0 * cmax * q / (1.0 - q)
+                     + n / (1.0 - n) * (max(map(abs, prefix)) + 2.0 * span * cmax)
+                     + 2.0**-1000) * (1.0 + 2.0**-30)
+        return (w, centers, self.unit_coeffs, prefix,
+                cmax * min(1.0, 2.0 * e * LOOKAHEAD_SLACK), POS_CUTOFF / w, neg,
+                cmax, LOOKAHEAD_FLOOR * max(1.0, cmax), len(centers), xlo, xhi, slack)
 
 
 def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
@@ -461,7 +452,7 @@ def _window_sum(kernel: tuple, x: float, lo: int) -> float:
     1.7e-305), x must be finite and x - c must not overflow on
     centers[lo:hi]; it is largest at lo and smallest at hi - 1, so two
     subtractions decide.  The guarded sigmoid refused such an x as well."""
-    w, centers, coeffs, prefix, tail, _, neg, cmax, floor, end, xlo, xhi = kernel
+    w, centers, coeffs, prefix, tail, _, neg, cmax, floor, end, xlo, xhi, _ = kernel
     stop = x - neg
     if not xlo <= x <= xhi:
         if not -_MAX <= x <= _MAX:
@@ -558,7 +549,7 @@ def validate(
 
         |G(x_k) - Q_k| <= 2*cmax*q/(1 - q) + R <= s(G)
 
-    (`SigmoidApproximant._knot_slack`), with eps = 2^-53 and:
+    (`SigmoidApproximant._kernel` states s(G)), with eps = 2^-53 and:
 
     - The tails.  Centers ascend at least gap apart, so the m-th unit on
       either side has |t| >= m*w*gap up to rounding, and both 1 - s_j
@@ -615,8 +606,7 @@ def validate(
     values = islice(built[1], i - 1, None) if reuse else repeat(None)
     knots = zip(islice(points, i, j), values, range(i - 1, j - 1))
     kernel = g._kernel
-    _, centers, coeffs, prefix, _, pos, _, _, _, end, _, _ = kernel
-    slack = g._knot_slack
+    _, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = kernel
     lo = 0
     sup = cut = -1.0
     argmax = a
@@ -677,7 +667,7 @@ def surrogate_L(g: SigmoidApproximant, i: int, x: float) -> float:
     # x_k's.  x and both centers lie in one cell of finite points, so
     # x - c is finite, and w * (x - c) overflows only far beyond the
     # cutoffs, where the kernel's 1.0 and 0.0 are exact
-    acc = g._prefix[i - 2]
+    acc = g._kernel[3][i - 2]
     acc += g.coeffs[i - 2] * sigmoid(g.w * (x - pts[i]))
     acc += g.coeffs[i - 1] * sigmoid(g.w * (x - pts[i + 1]))
     return acc

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -508,6 +509,31 @@ def test_stdout_stderr_separation():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "eps" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, code", [
+    (["recipe", "--fn", "x", "--a", "-1e-3", "--b", "1", "--eps", "0.5"], 0),
+    (["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.5"], 0),
+    (["approximate", "--fn", "sin(200*x)", "--a", "0", "--b", "1", "--eps", "0.5"], 1),
+])
+def test_a_closed_stdout_ends_the_run_quietly_with_its_own_code(argv, code, unbuffered):
+    # stdout is a pipe whose reader is gone, as with `| head -0`: printing
+    # the report raises BrokenPipeError, at print with PYTHONUNBUFFERED and
+    # at the interpreter's last flush without it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigapprox.cli", *argv, "--lipschitz", "1", "--sup", "1"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def approximate_argv(fn, tmp_path, *extra, eps="0.2", grid="101"):

@@ -346,7 +346,7 @@ def test_build_set_up_folds_match_the_loops_they_replace():
     for c in g.unit_coeffs:
         acc += c
         prefix.append(acc)
-    assert [v.hex() for v in g._prefix] == [v.hex() for v in prefix]
+    assert [v.hex() for v in g._kernel[3]] == [v.hex() for v in prefix]
 
 
 def test_g_holds_at_most_104_bytes_per_unit():
@@ -579,7 +579,7 @@ def _window_rule_calls(g, x, d=1.0):
     w, centers, coeffs, cmax = g.w, g.centers, g.unit_coeffs, _cmax(g)
     lo = bisect_left(centers, x - POS_CUTOFF / w)
     hi = bisect_right(centers, x - NEG_CUTOFF / w)
-    acc = g._prefix[lo - 1] if lo > 0 else 0.0
+    acc = g._kernel[3][lo - 1] if lo > 0 else 0.0
     for u in range(lo, hi):
         t = w * (x - centers[u])
         s = sigmoid(t)
@@ -666,7 +666,7 @@ def test_evaluate_refuses_an_x_whose_distance_to_a_center_overflows():
     big = sys.float_info.max
     p = unif_part(-0.7e308, 0.7e308, 4)
     g = SigmoidApproximant(w=1e-308, partition=p, coeff0=1.0, coeffs=(1.0,) * 4)
-    assert g._kernel[-2:] == (math.inf, -math.inf)
+    assert g._kernel[10:12] == (math.inf, -math.inf)
     for x in (0.0, 7e307, -7e307, p.a, p.b, -1e308):
         assert _bits(evaluate(g, x)) == _bits(reference_G(g, x))
     for x in (big, -big, 1e308, -1.1e308):
@@ -862,7 +862,7 @@ def test_g_at_a_knot_is_its_closed_form_within_the_knot_slack(case):
     # `validate` skips G at a knot x_k whose window leaves out unit 0 on the
     # bound |G(x_k) - (P[u-1] + c_u/2)| <= s(G), u = k - 1
     g = case[0]
-    slack = g._knot_slack
+    slack = g._kernel[12]
     gap = min(c2 - c1 for c1, c2 in zip(g.centers, g.centers[1:]))
     # q >= 1 turns the skip off; so does an overflow in the slack's terms
     assert slack == math.inf or math.exp(-g.w * gap) * (1.0 + 2.0**-20) < 1.0
@@ -871,7 +871,7 @@ def test_g_at_a_knot_is_its_closed_form_within_the_knot_slack(case):
         x = g.centers[u]
         if bisect_left(g.centers, x - pos) == 0:
             continue
-        q = g._prefix[u - 1] + g.unit_coeffs[u] * 0.5
+        q = g._kernel[3][u - 1] + g.unit_coeffs[u] * 0.5
         assert abs(evaluate(g, x) - q) <= slack, (u, x)
 
 
@@ -908,7 +908,7 @@ def test_validate_evaluates_g_at_few_knots_of_the_papers_network(monkeypatch):
     rep = validate(g, spec, 0.015, 501)
     # the grid's 501 points, and under 1% of the 4,974 knots
     assert count[0] < 501 + 0.01 * 4974
-    assert g._knot_slack < 1e-3 * rep.sup_error
+    assert g._kernel[12] < 1e-3 * rep.sup_error
     monkeypatch.undo()
     assert rep == reference_validate(g, spec, 0.015, 501)
 
@@ -918,7 +918,7 @@ def test_validate_evaluates_g_at_few_knots_of_the_papers_network(monkeypatch):
 def test_validate_evaluates_g_at_every_point_where_q_reaches_1(wh, monkeypatch):
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 300, w=wh * 300))
-    assert g._knot_slack == math.inf
+    assert g._kernel[12] == math.inf
     count = _counted_window_sums(monkeypatch)
     rep = validate(g, spec, 0.5, 101)
     assert count[0] == rep.grid_size > 101
@@ -945,13 +945,63 @@ def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkey
     rng = random.Random(3)
     g = SigmoidApproximant(w=1e-306, partition=p, coeff0=0.5,
                            coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(100)))
-    assert math.exp(-g.w * p.h) < 0.25 and g._kernel[-2:] == (math.inf, -math.inf)
-    assert g._knot_slack == math.inf
+    assert math.exp(-g.w * p.h) < 0.25 and g._kernel[10:12] == (math.inf, -math.inf)
+    assert g._kernel[12] == math.inf
     spec = FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0)
     want = _validation(reference_validate, g, spec, 2)
     count = _counted_window_sums(monkeypatch)
     assert _validation(validate, g, spec, 2) == want
     assert count[0] == want[0][0] == 2 + 99
+
+
+def _kernel_networks():
+    spec = make_spec("sin(2*pi*x) + 0.5*x", 2.0 * math.pi + 0.5, 1.5)
+    built = build_approximant(spec, compute_recipe(spec, 0.05))
+    n3 = build_approximant(make_spec("x*x", 2.0, 1.0), manual_recipe(0.0, 1.0, 3))
+    p = unif_part(0.0, 1.0, 300)
+    q_reaches_1 = SigmoidApproximant(w=1e-12 * 300, partition=p, coeff0=0.5,
+                                     coeffs=tuple(0.01 * k for k in range(300)))
+    p = unif_part(-0.8e308, 0.8e308, 100)
+    tiny_w = SigmoidApproximant(w=1e-306, partition=p, coeff0=0.5, coeffs=(0.25,) * 100)
+    p = unif_part(0.0, 1.0, 4)
+    overflow = SigmoidApproximant(w=math.log(3.0) / p.h, partition=p, coeff0=1e308,
+                                  coeffs=(1e308,) * 4)
+    return {"built": built, "n3": n3, "q_reaches_1": q_reaches_1,
+            "tiny_w": tiny_w, "overflow": overflow}
+
+
+@pytest.mark.parametrize("name, finite", [("built", True), ("n3", True), ("q_reaches_1", False),
+                                          ("tiny_w", False), ("overflow", False)])
+def test_kernel_constants_match_a_recomputation_from_centers_and_coefficients(name, finite):
+    # bit for bit, s(G) included: the skip in `validate` rests on its value
+    g = _kernel_networks()[name]
+    w, centers, coeffs = g.w, g.centers, g.unit_coeffs
+    prefix, acc = [], 0.0
+    for c in coeffs:
+        acc += c
+        prefix.append(acc)
+    wg = w * min(c2 - c1 for c1, c2 in zip(centers, centers[1:]))
+    cmax = max(abs(c) for c in coeffs[1:])
+    tail = cmax * min(1.0, 2.0 * math.exp(-wg) * (1.0 + 2.0**-20))
+    floor = 2.0**-1000 * max(1.0, cmax)
+    big = sys.float_info.max
+    lo, hi = (-big, big) if -747.0 / w >= -big / 4 else (math.inf, -math.inf)
+    q = math.exp(-wg) * (1.0 + 2.0**-20)
+    slack = math.inf
+    if q < 1.0 and lo == -big:
+        span = math.ceil(1600.0 / wg) + 1
+        gamma = (4 * span + 8) * 2.0**-53 / (1.0 - (4 * span + 8) * 2.0**-53)
+        slack = (2.0 * cmax * q / (1.0 - q)
+                 + gamma * (max(map(abs, prefix)) + 2.0 * span * cmax)
+                 + 2.0**-1000) * (1.0 + 2.0**-30)
+    got = g._kernel
+    assert got[1] is centers and got[2] is coeffs and got[9] == len(centers)
+    assert list(map(_bits, got[3])) == list(map(_bits, prefix))
+    doubles = (w, tail, 37.0 / w, -747.0 / w, cmax, floor, lo, hi, slack)
+    assert list(map(_bits, got[:1] + got[4:9] + got[10:])) == list(map(_bits, doubles))
+    assert math.isfinite(slack) == finite
+    if name == "overflow":
+        assert math.isinf(prefix[-1]) and q < 1.0 and lo == -big
 
 
 def _zero_networks():
@@ -1191,7 +1241,7 @@ def test_surrogate_takes_the_limits_of_sigma_where_its_argument_overflows():
     g = SigmoidApproximant(w=1e300, partition=p, coeff0=1.0,
                            coeffs=tuple(float(k) for k in range(2, 10)))
     x = 0.5 * (p.points[3] + p.points[4])
-    assert surrogate_L(g, 3, x) == g._prefix[1] + g.coeffs[1]
+    assert surrogate_L(g, 3, x) == g._kernel[3][1] + g.coeffs[1]
 
 
 def test_surrogate_rejects_small_index():
