@@ -18,6 +18,9 @@ a network of N+1 units whose output weights are forward differences of f.
 The sup error on [a, b] is provably below eps; `validate` measures it on a
 grid, and `error_decomposition` exposes the proof's I1/I2 split through the
 local surrogate L_i that pretends all far sigmoids are saturated.
+`validate` evaluates G only where it might move the sup: at a knot it
+first tries the one-unit closed form, at a grid point the surrogate's
+two-unit sum, and skips G where that sits provably below the running sup.
 """
 
 from __future__ import annotations
@@ -508,11 +511,13 @@ def validate(
     from the build when `spec` is the very object G was built from (see
     `SigmoidApproximant.built_from`); f is then evaluated only at the
     distinct uniform-grid points.  G is evaluated once per distinct point,
-    except at a knot whose error provably sits below the running sup (see
-    below).  If `row` is given, it is called as row(x, f(x), G(x)) for
-    each of the grid_size uniform-grid points in ascending order, a
-    repeated point included (with the values already computed) and the
-    knots left out; the report is the same with or without it.
+    except at a point whose error provably sits below the running sup (see
+    below): a knot, or, when `row` is None, a uniform-grid point.  If `row`
+    is given, it is called as row(x, f(x), G(x)) for each of the grid_size
+    uniform-grid points in ascending order, a repeated point included (with
+    the values already computed) and the knots left out, so G is evaluated
+    at every grid point for its row; the report is the same with or
+    without it.
 
     A G that evaluates to inf or nan fails: the first point where |G - f|
     is not finite gives sup_error and argmax_x, and no later point
@@ -560,13 +565,17 @@ def validate(
       sigmoid moves e^-|t| by a relative 1e-12 at most, far inside
       (1 + 2^-20)^m.  Each side sums to at most cmax*q/(1 - q).
     - The rounding.  A window spans at most 1568/w, so it holds at most
-      W = ceil(1600/(w*gap)) + 1 units.  The fold in G rounds at most W
-      additions, each by eps times a partial sum below max|P| + 2*W*cmax;
-      P[u-1] continues its fold from P[lo-1] with at most W additions, each
-      rounded by eps times a prefix sum; Q_k adds one more.  Each product
-      c_j*s_j and each left 1 - s_j adds a few eps*cmax.  All of it is
-      below gamma_{4W+8}*(max|P| + 2*W*cmax), where gamma_n = n*eps/(1 -
-      n*eps).  A sigmoid or a product near underflow adds an absolute
+      W = ceil(1600/(w*gap)) + 1 units, and E = max|P| + 2*W*cmax bounds
+      every partial sum below.  The fold in G rounds at most W additions,
+      each by at most eps*E; P[u-1] continues its fold from P[lo-1] with at
+      most W additions, each rounded by eps times a prefix sum; Q_k adds
+      one more.  A computed sigmoid lies within 3 eps of the exact one at
+      its computed t, so a tail unit's product c_j*s_j, and a left one's
+      1 - s_j, add at most 4 eps*cmax: 2 eps*E over the whole window.  That
+      is (2W + 3)*eps*E in all, below gamma_{4W+8}*E, where gamma_n =
+      n*eps/(1 - n*eps); the margin leaves room for the grid points' one
+      addition more (below) and for the roundings each partial sum
+      carries.  A sigmoid or a product near underflow adds an absolute
       2^-1074 besides (times cmax for the sigmoid), which the same term and
       2^-1000 cover.
     - s(G) is computed with about ten roundings of positive terms, which
@@ -592,7 +601,45 @@ def validate(
     - the terms of s(G) overflow, as when the prefix sums do.
     With the paper's slope, w*gap is about ln(N - 1), so q is about
     1/(N - 1) and s(G) is about 2*cmax/N: on the benchmark's large-n
-    network (N = 99,487) it is 1.4e-9, against a sup of 4.83e-5."""
+    network (N = 99,487) it is 1.4e-9, against a sup of 4.83e-5.
+
+    Skipping G at a grid point.  Without `row`, a uniform-grid point x
+    takes the same test with the proof's two-unit surrogate in place of
+    Q_k.  With v the last unit whose center is at or below x, so that
+    c_v <= x < c_{v+1} (x_1 = a is no center: on [a, x_2) v = 0), and s_j
+    the computed sigma(w*(x - c_j)),
+
+        G~(x) = fl(fl(P[v-1] + fl(c_v*s_v)) + fl(c_{v+1}*s_{v+1})),
+
+    the sum `surrogate_L(g, v + 1, x)` takes, on the same doubles.  v is
+    walked like lo: nxt, the first center above x, starts at 0 and moves
+    right while centers[nxt] <= x, at grid points only, so it too costs
+    O(N + points) comparisons in all; v = nxt - 1.  G is skipped when
+    0 < lo <= v, v + 1 < end (unit v + 1 exists: at x = b = x_{N+1} it
+    does not) and fl(|G~(x) - f(x)|) < cut, and
+    |G(x) - G~(x)| <= s(G) holds as at a knot:
+
+    - Unit v is in the window (lo <= v, and c_v <= x <= fl(x - neg)), and
+      so is v + 1 unless its center lies past the window's end.  G's fold
+      then adds the same two doubles fl(c_j*s_j), from the same t and the
+      same sigmoid, and they cancel in the difference.  Past the end, t is
+      below about -745, so s_{v+1} is 0 or subnormal: the underflow term.
+    - The tails.  On the left x - c_j >= c_v - c_j >= (v - j)*gap, on the
+      right c_j - x > c_j - c_{v+1} >= (j - v - 1)*gap, so the m-th unit
+      on either side again has |t| >= m*w*gap, and each side sums to at
+      most cmax*q/(1 - q).  lo > 0 keeps unit 0 out of the window.
+    - The rounding.  G~ rounds one addition more than Q_k, by at most
+      eps*E, and its products are G's own: (2W + 4)*eps*E in all, still
+      below gamma_{4W+8}*E, so s(G) needs no widening.
+
+    The cut argument above then holds with y = |G~(x) - f(x)|.  Where
+    s(G) = inf the test never passes, and G~ raises nothing on the way:
+    an x - c that overflows gives t = +-inf, whose sigmoid is 1.0 or 0.0.
+    With `row` every grid point is evaluated, since its row carries G's
+    own double.  The walk costs two sigmoid calls at each grid point, a
+    fraction of the window's (about 6 units, see `_window_sum`): on the
+    benchmark's wiggly network (N = 6,924) G runs at 477 of its 76,163
+    points without `row`, against 69,243 with it."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < epsilon < math.inf:
@@ -606,8 +653,9 @@ def validate(
     values = islice(built[1], i - 1, None) if reuse else repeat(None)
     knots = zip(islice(points, i, j), values, range(i - 1, j - 1))
     kernel = g._kernel
-    _, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = kernel
-    lo = 0
+    w, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = kernel
+    sig = sigmoid
+    lo = nxt = 0
     sup = cut = -1.0
     argmax = a
     count = 0
@@ -622,9 +670,18 @@ def validate(
             start = x - pos
             while lo < end and centers[lo] < start:
                 lo += 1
-            # a grid point has u = -1 and is never skipped
-            if 0 < lo <= u and abs(prefix[u - 1] + coeffs[u] * 0.5 - fx) < cut:
-                continue
+            if u >= 0:
+                if 0 < lo <= u and abs(prefix[u - 1] + coeffs[u] * 0.5 - fx) < cut:
+                    continue
+            elif row is None:
+                # a grid point: nxt is the first center above x, v = nxt - 1
+                while nxt < end and centers[nxt] <= x:
+                    nxt += 1
+                if 0 < lo < nxt < end and abs(
+                    prefix[nxt - 2] + coeffs[nxt - 1] * sig(w * (x - centers[nxt - 1]))
+                    + coeffs[nxt] * sig(w * (x - centers[nxt])) - fx
+                ) < cut:
+                    continue
             gx = _window_sum(kernel, x, lo)
             err = abs(gx - fx)
             # `not <=` is also true for nan; once sup is inf or nan it stays

@@ -34,6 +34,7 @@ from oracles import (
     exact_recipe_n,
     leftmost_sup,
     reference_G,
+    reference_uniform_grid,
     reference_validate,
     reference_validation_grid,
 )
@@ -800,13 +801,13 @@ def _walk_cases(draw):
     return g, FunctionSpec.from_text("x", a, b, lipschitz=1.0, sup_bound=1.0), grid
 
 
-def _validation(validator, g, spec, grid):
+def _validation(validator, g, spec, grid, with_rows=True):
     """The report's fields, or the ValueError's message, and the row
-    calls, with every float as its .hex()."""
+    calls (none without `with_rows`), with every float as its .hex()."""
     rows = []
     sink = lambda x, fx, gx: rows.append((x.hex(), fx.hex(), gx.hex()))  # noqa: E731
     try:
-        report = validator(g, spec, 0.05, grid, row=sink)
+        report = validator(g, spec, 0.05, grid, row=sink if with_rows else None)
     except ValueError as exc:
         return str(exc), rows
     fields = dataclasses.astuple(report)
@@ -834,13 +835,13 @@ KNOT_FNS = ["sin(2*pi*x) + 0.5*x", WIGGLY, "x^2 - 3*x", "exp(x)*cos(9*x)"]
 
 
 @st.composite
-def _knot_networks(draw):
+def _knot_networks(draw, max_n=2000):
     """(G, text, a, b) for the knot bound: G built from f = scale*(text) at
     the paper's slope times a factor from 1e-6 to 3, or made by hand with
     coefficients of magnitude scale, from 1e-300 to 1e300, and f(a) up to
     1e16 times larger, where the rounding of the prefix sums outweighs the
     tails."""
-    n = draw(st.integers(3, 2000))
+    n = draw(st.integers(3, max_n))
     a = draw(st.floats(-5.0, 5.0))
     b = a + draw(st.floats(1e-3, 10.0))
     p = unif_part(a, b, n)
@@ -924,18 +925,34 @@ def test_validate_evaluates_g_at_every_point_where_q_reaches_1(wh, monkeypatch):
     assert count[0] == rep.grid_size > 101
 
 
-def test_validate_evaluates_g_at_a_knot_whose_window_holds_the_f_a_unit():
-    # G(x) = sigma(w*(x - x_0)) with w*h = 2, and f is linear from G(a) to
-    # 1 at x_2, then 1: the error is 3e-6 at a and sigma(-4) = 0.018 at
-    # x_2, the sup.  There Q_2 = P[0] = 1 = f(x_2), but the f(a) unit's
-    # sigmoid is 1 - 0.018, not 1, so skipping x_2 would miss the sup
+def _f_a_unit_case():
+    """G(x) = sigma(w*(x - x_0)) with w*h = 2 on [0, 1], N = 10, and f
+    linear from G(a) to 1 at x_2 = 0.1, then 1: the error is 3e-6 at a and
+    sigma(-4) = 0.018 at x_2, the sup.  The f(a) unit is in every window."""
     p = unif_part(0.0, 1.0, 10)
     g = SigmoidApproximant(w=2.0 / p.h, partition=p, coeff0=1.0, coeffs=(0.0,) * 10)
     spec = FunctionSpec.from_text("1 - 0.1192*(1 - 10*x + abs(1 - 10*x))/2", 0.0, 1.0,
                                   lipschitz=2.0, sup_bound=1.0)
+    return g, spec
+
+
+def test_validate_evaluates_g_at_a_knot_whose_window_holds_the_f_a_unit():
+    # there Q_2 = P[0] = 1 = f(x_2), but the f(a) unit's sigmoid is
+    # 1 - 0.018, not 1, so skipping x_2 would miss the sup
+    g, spec = _f_a_unit_case()
     rep = validate(g, spec, 0.5, 2)
     assert rep == reference_validate(g, spec, 0.5, 2)
-    assert rep.argmax_x == p.points[2] and 0.0179 < rep.sup_error < 0.0181
+    assert rep.argmax_x == g.partition.points[2] and 0.0179 < rep.sup_error < 0.0181
+
+
+def test_validate_evaluates_g_at_a_grid_point_whose_window_holds_the_f_a_unit():
+    # the grid of 11 points passes through x_2 = 0.1, where the two-unit
+    # sum is G~ = P[0] = 1 = f(0.1) for the same reason
+    g, spec = _f_a_unit_case()
+    assert 0.1 == g.partition.points[2] == g.centers[1]
+    rep = validate(g, spec, 0.5, 11)
+    assert rep == reference_validate(g, spec, 0.5, 11)
+    assert rep.argmax_x == 0.1 and 0.0179 < rep.sup_error < 0.0181
 
 
 def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkeypatch):
@@ -952,6 +969,171 @@ def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkey
     count = _counted_window_sums(monkeypatch)
     assert _validation(validate, g, spec, 2) == want
     assert count[0] == want[0][0] == 2 + 99
+
+
+def _two_unit_sum(g, v, x):
+    """G~(x) = P[v-1] + c_v*sigma(w*(x - c_v)) + c_{v+1}*sigma(w*(x - c_{v+1})),
+    the proof's surrogate that `validate` tries at a grid point x with
+    c_v <= x < c_{v+1}, left to right."""
+    centers, coeffs = g.centers, g.unit_coeffs
+    acc = g._kernel[3][v - 1]
+    acc += coeffs[v] * sigmoid(g.w * (x - centers[v]))
+    acc += coeffs[v + 1] * sigmoid(g.w * (x - centers[v + 1]))
+    return acc
+
+
+def _sign_flip_network():
+    """w*h = 1, so q = e^-1*(1 + 2^-20), with weights -1 left of unit 48
+    and +1 from it on.  At x = c_48 both tails push G above G~, by 0.66 in
+    all, where one tail's cmax*q/(1 - q) is 0.58; unit 0 lies outside the
+    window, which reaches 37 units left."""
+    p = unif_part(0.0, 1.0, 64)
+    g = SigmoidApproximant(w=1.0 / p.h, partition=p, coeff0=0.0,
+                           coeffs=(-1.0,) * 47 + (1.0,) * 17)
+    return g, "x", 0.0, 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(_knot_networks(), st.integers(0, 2**32))
+@example(_sign_flip_network(), 0)
+def test_g_at_a_grid_point_is_its_two_unit_surrogate_within_the_knot_slack(case, seed):
+    # `validate` skips G at a grid point x in [c_v, c_{v+1}) whose window
+    # leaves out unit 0 on the bound |G(x) - G~(x)| <= s(G)
+    g = case[0]
+    slack = g._kernel[12]
+    centers, pos = g.centers, POS_CUTOFF / g.w
+    rng = random.Random(seed)
+    cells = range(1, g.unit_count - 1)
+    if len(cells) > 64:
+        cells = rng.sample(cells, 16)
+    for v in cells:
+        left, right = centers[v], centers[v + 1]
+        for x in (left, rng.uniform(left, right), math.nextafter(right, -math.inf)):
+            lo = bisect_left(centers, x - pos)
+            if not (left <= x < right and 0 < lo <= v):
+                continue
+            assert bisect_right(centers, x) - 1 == v
+            approx = _two_unit_sum(g, v, x)
+            if v >= 2:
+                assert _bits(approx) == _bits(surrogate_L(g, v + 1, x))
+            assert abs(evaluate(g, x) - approx) <= slack, (v, x)
+
+
+def _tiny_interval_case():
+    spec = FunctionSpec.from_text("x", 0.0, 1e-300, lipschitz=1.0, sup_bound=1.0)
+    return build_approximant(spec, manual_recipe(0.0, 1e-300, 50)), "x", 0.0, 1e-300, 201
+
+
+def _huge_interval_case():
+    # w = ln(49)/h is about 1e-298, above the 1.7e-305 where the range ends
+    spec = FunctionSpec.from_text("x", -1e300, 1e300, lipschitz=1.0, sup_bound=1.0)
+    return build_approximant(spec, manual_recipe(-1e300, 1e300, 50)), "x", -1e300, 1e300, 201
+
+
+def _q_reaches_1_case():
+    spec = make_spec("x", 1.0, 1.0)
+    return build_approximant(spec, manual_recipe(0.0, 1.0, 300, w=1e-12 * 300)), "x", 0.0, 1.0, 401
+
+
+def _tiny_slope_case():
+    p = unif_part(-0.8e308, 0.8e308, 100)
+    rng = random.Random(3)
+    g = SigmoidApproximant(w=1e-306, partition=p, coeff0=0.5,
+                           coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(100)))
+    return g, "x", p.a, p.b, 3  # a finer grid's spacing overflows
+
+
+@st.composite
+def _grid_validations(draw):
+    """(G, text, a, b, grid) from `_knot_networks` with grids from 2 to
+    4N + 1 points: most points are uniform-grid points, and without rows
+    the grid skip decides their fate."""
+    case = draw(_knot_networks(max_n=300))
+    return (*case, draw(st.integers(2, 4 * case[0].partition.n_intervals + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_validations())
+@example(_tiny_interval_case())
+@example(_huge_interval_case())
+@example(_q_reaches_1_case())
+@example(_tiny_slope_case())
+def test_validate_without_rows_skips_grid_points_as_a_walk_that_evaluates_them_would_report(
+    case,
+):
+    g, text, a, b, grid = case
+    spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
+    got = _validation(validate, g, spec, grid, with_rows=False)
+    assert got == _validation(reference_validate, g, spec, grid, with_rows=False)
+    # rows make G run at every grid point; the report stays the same
+    assert _validation(validate, g, spec, grid)[0] == got[0]
+
+
+def test_validate_tries_the_two_units_around_each_grid_point(monkeypatch):
+    # dyadic points: the grid of 129 points of [0, 1] holds every center
+    # x_1..x_65, and the two units are the last center at or below x and
+    # the first above it, at x = c_v too
+    p = unif_part(0.0, 1.0, 64)
+    rng = random.Random(11)
+    g = SigmoidApproximant(w=math.log(63.0) / p.h, partition=p, coeff0=0.5,
+                           coeffs=tuple(rng.uniform(-0.02, 0.02) for _ in range(64)))
+    spec = FunctionSpec.from_text("0.5 + x/64", 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    xs = reference_uniform_grid(0.0, 1.0, 129)
+    centers, pos = g.centers, POS_CUTOFF / g.w
+    assert set(centers[1:]) <= set(xs)
+    want = []
+    for x in xs:
+        v = bisect_right(centers, x) - 1
+        if 0 < bisect_left(centers, x - pos) <= v and v + 1 < len(centers):
+            want += [g.w * (x - centers[v]), g.w * (x - centers[v + 1])]
+    calls, inside = [], [False]
+    real = engine._window_sum
+
+    def window_sum(kernel, x, lo):
+        inside[0] = True
+        try:
+            return real(kernel, x, lo)
+        finally:
+            inside[0] = False
+
+    def recorded(t):
+        if not inside[0]:
+            calls.append(t)
+        return sigmoid(t)
+
+    monkeypatch.setattr(engine, "_window_sum", window_sum)
+    monkeypatch.setattr(engine, "sigmoid", recorded)
+    rep = validate(g, spec, 0.5, 129)
+    monkeypatch.undo()
+    assert calls == want and len(want) > 2 * 100
+    assert min(want[::2]) == 0.0 and max(want[1::2]) < 0.0
+    assert rep == reference_validate(g, spec, 0.5, 129)
+
+
+def test_validate_evaluates_g_at_under_1_percent_of_wigglys_points_without_rows(monkeypatch):
+    # the benchmark's wiggly workload: N = 6,924 and the CLI's default grid
+    spec = make_spec(WIGGLY, WIGGLY_L, 1.05)
+    g = build_approximant(spec, compute_recipe(spec, 0.01))
+    n = g.partition.n_intervals
+    assert n == 6924
+    count = _counted_window_sums(monkeypatch)
+    rep = validate(g, spec, 0.01, 10 * n)
+    assert rep.grid_size == 10 * n + n - 1  # the grid and the knots x_2..x_N
+    assert count[0] < 0.01 * rep.grid_size
+    count[0] = 0
+    rows = []
+    assert validate(g, spec, 0.01, 10 * n, row=lambda x, fx, gx: rows.append(x)) == rep
+    assert len(rows) == 10 * n <= count[0] < 10 * n + 0.01 * (n - 1)
+
+
+@pytest.mark.parametrize("text, lipschitz, sup", SUITE)
+def test_validate_reports_the_same_with_and_without_rows(text, lipschitz, sup):
+    spec = make_spec(text, lipschitz, sup)
+    g = build_approximant(spec, compute_recipe(spec, 0.05))
+    for grid in (2, 101, 4 * g.partition.n_intervals + 1):
+        rows = []
+        rep = validate(g, spec, 0.05, grid, row=lambda x, fx, gx: rows.append(x))
+        assert validate(g, spec, 0.05, grid) == rep and len(rows) == grid
 
 
 def _kernel_networks():
