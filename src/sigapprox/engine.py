@@ -21,6 +21,8 @@ local surrogate L_i that pretends all far sigmoids are saturated.
 `validate` evaluates G only where it might move the sup: at a knot it
 first tries the one-unit closed form, at a grid point the surrogate's
 two-unit sum, and skips G where that sits provably below the running sup.
+One walk over the partition points merges the knots into its grid and
+finds each grid point's two units.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from operator import sub
 from typing import Callable, Iterator, Optional
 
@@ -480,19 +482,26 @@ def _window_sum(kernel: tuple, x: float, lo: int) -> float:
     return acc
 
 
-def _with_knots(
-    grid: Iterator[float], knots: Iterator[tuple[float, Optional[float], int]]
-) -> Iterator[tuple[float, Optional[float], int]]:
-    """Merge the ascending grid and the ascending knots (x, f(x) or None, u)
-    into (x, None, -1) for each grid point and the knot's own triple for
-    each knot; a knot equal to a grid point comes after it.  The grid ends
-    at b and every knot lies below b, so no knot is left over."""
-    knot = next(knots, (math.inf, None, -1))
+def _walk_points(
+    grid: Iterator[float], points: tuple[float, ...], a: float
+) -> Iterator[tuple[float, int, bool]]:
+    """Merge the ascending grid of [a, b] with the partition points above
+    a, x_0 left out, through one pointer k.  Before each grid point x,
+    yield (x_k, k - 1, True) for each point x_k below x: a knot and its
+    unit u = k - 1.  Pass over a point equal to x, then yield
+    (x, k - 2, False) with k the first point above x: v = k - 2 is the
+    grid skip's unit (see `validate`).  The grid ends at b, so every point
+    below b comes out as a knot and no point at or above b does."""
+    k = bisect_right(points, a, 1)
+    n = len(points)
+    p = points[k] if k < n else math.inf
     for x in grid:
-        while knot[0] < x:
-            yield knot
-            knot = next(knots, (math.inf, None, -1))
-        yield x, None, -1
+        while p <= x:
+            if p < x:
+                yield p, k - 1, True
+            k += 1
+            p = points[k] if k < n else math.inf
+        yield x, k - 2, False
 
 
 def validate(
@@ -536,10 +545,16 @@ def validate(
     never moves left, so the walk costs O(N + points) comparisons in all,
     where bisecting costs O(log N) at every point.
 
-    The knots are the slice of the ascending partition points inside
-    (a, b), searched from x_1: x_0 = a - h is a unit center only.  Knot
-    x_k with k >= 2 is the center of unit u = k - 1; x_1 = a has no unit
-    and gets u = 0.
+    The knots are the partition points inside the spec's (a, b), x_0
+    left out: x_0, G's a - h, is a unit center only.  One pointer k over
+    the ascending points (`_walk_points`) merges them into the grid and
+    gives each grid point its units (below).  It starts at the first point
+    above a, searched from x_1.  Before each grid point x it hands on every
+    point below x as a knot, passes over a point equal to x, which the
+    grid point stands for, and stops at the first point above x.  Knot x_k
+    with k >= 2 is the center of unit u = k - 1.  x_1, G's own a, has no
+    unit and gets u = 0; it is a knot only when the spec's interval starts
+    left of it.  A knot's f from the build is entry u of `built_from`.
 
     Skipping G at a knot.  At knot x_k with unit u, the unit's argument is
     t = w*(x_k - c_u) = 0 exactly and sigma(0) = 1/2 exactly, so the
@@ -606,18 +621,22 @@ def validate(
     Skipping G at a grid point.  Without `row`, a uniform-grid point x
     takes the same test with the proof's two-unit surrogate in place of
     Q_k.  With v the last unit whose center is at or below x, so that
-    c_v <= x < c_{v+1} (x_1 = a is no center: on [a, x_2) v = 0), and s_j
-    the computed sigma(w*(x - c_j)),
+    c_v <= x < c_{v+1} (x_1, G's a, is no center: on [x_1, x_2) v = 0),
+    and s_j the computed sigma(w*(x - c_j)),
 
         G~(x) = fl(fl(P[v-1] + fl(c_v*s_v)) + fl(c_{v+1}*s_{v+1})),
 
-    the sum `surrogate_L(g, v + 1, x)` takes, on the same doubles.  v is
-    walked like lo: nxt, the first center above x, starts at 0 and moves
-    right while centers[nxt] <= x, at grid points only, so it too costs
-    O(N + points) comparisons in all; v = nxt - 1.  G is skipped when
-    0 < lo <= v, v + 1 < end (unit v + 1 exists: at x = b = x_{N+1} it
-    does not) and fl(|G~(x) - f(x)|) < cut, and
-    |G(x) - G~(x)| <= s(G) holds as at a knot:
+    the sum `surrogate_L(g, v + 1, x)` takes, on the same doubles.  v
+    comes from the pointer that merges the knots, which stops at x_k, the
+    first point above x.  For k >= 2, x_k = c_{k-1} is the first center
+    above x, and c_{k-2} (x_{k-1}, or x_0 when k = 2) is at or below it,
+    so v = k - 2.  k = 1, a grid point left of G's a, gives v = -1, where
+    the test below fails, as it would for the true v <= 0, since it needs
+    lo > 0.  k never moves left, so the one walk costs O(N + points)
+    comparisons in all, knots and units together.  G is skipped when
+    0 < lo <= v < end - 1 (unit v + 1 exists: at x = b = x_{N+1} it does
+    not) and fl(|G~(x) - f(x)|) < cut, and |G(x) - G~(x)| <= s(G) holds as
+    at a knot:
 
     - Unit v is in the window (lo <= v, and c_v <= x <= fl(x - neg)), and
       so is v + 1 unless its center lies past the window's end.  G's fold
@@ -645,41 +664,34 @@ def validate(
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
-    points = g.partition.points
-    i = bisect_right(points, a, 1)
-    j = bisect_left(points, b, i)
     built = g.built_from
-    reuse = built is not None and built[0] is spec
-    values = islice(built[1], i - 1, None) if reuse else repeat(None)
-    knots = zip(islice(points, i, j), values, range(i - 1, j - 1))
+    known = built[1] if built is not None and built[0] is spec else None
     kernel = g._kernel
     w, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = kernel
     sig = sigmoid
-    lo = nxt = 0
+    lo = 0
     sup = cut = -1.0
     argmax = a
     count = 0
     prev = fx = gx = math.nan
-    for x, known, u in _with_knots(uniform_grid(a, b, grid_size), knots):
+    for x, v, knot in _walk_points(uniform_grid(a, b, grid_size), g.partition.points, a):
         # equal points arrive together, so skipping repeats visits the
         # points of sorted(set(grid + knots)) in that order
         if x != prev:
             prev = x
             count += 1
-            fx = spec(x) if known is None else known
             start = x - pos
             while lo < end and centers[lo] < start:
                 lo += 1
-            if u >= 0:
-                if 0 < lo <= u and abs(prefix[u - 1] + coeffs[u] * 0.5 - fx) < cut:
+            if knot:
+                fx = spec(x) if known is None else known[v]
+                if 0 < lo <= v and abs(prefix[v - 1] + coeffs[v] * 0.5 - fx) < cut:
                     continue
-            elif row is None:
-                # a grid point: nxt is the first center above x, v = nxt - 1
-                while nxt < end and centers[nxt] <= x:
-                    nxt += 1
-                if 0 < lo < nxt < end and abs(
-                    prefix[nxt - 2] + coeffs[nxt - 1] * sig(w * (x - centers[nxt - 1]))
-                    + coeffs[nxt] * sig(w * (x - centers[nxt])) - fx
+            else:
+                fx = spec(x)
+                if row is None and 0 < lo <= v < end - 1 and abs(
+                    prefix[v - 1] + coeffs[v] * sig(w * (x - centers[v]))
+                    + coeffs[v + 1] * sig(w * (x - centers[v + 1])) - fx
                 ) < cut:
                     continue
             gx = _window_sum(kernel, x, lo)
@@ -689,7 +701,7 @@ def validate(
                 sup = err
                 argmax = x
                 cut = sup * (1.0 - 2.0**-50) - slack
-        if u < 0 and row is not None:
+        if not knot and row is not None:
             row(x, fx, gx)
     return ErrorReport(
         grid_size=count,

@@ -147,13 +147,15 @@ def reference_validate(g, spec, epsilon: float, grid_size: int, row=None) -> Err
     """`engine.validate` written out: f from `spec` and G from `evaluate`
     at each point of `reference_validation_grid`, in ascending order, then
     row(x, f(x), G(x)) for each point of `reference_uniform_grid` equal to
-    it.  The same ErrorReport and row calls, or the same exception."""
+    it.  The same ErrorReport and row calls, or the same exception.  The
+    knots are x_1..x_{N+1}: x_0 = a - h is a unit center only, so a spec
+    whose interval starts left of it gets no point there."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     a, b = spec.interval.a, spec.interval.b
-    points = reference_validation_grid(a, b, grid_size, g.partition.points)
+    points = reference_validation_grid(a, b, grid_size, g.partition.points[1:])
     rows = reference_uniform_grid(a, b, grid_size)
     j = 0
     sup = -1.0

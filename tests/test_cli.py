@@ -388,6 +388,23 @@ def test_stirling_of_a_large_n_in_bounded_memory():
     assert peak < 64 * 1024, f"peak RSS {peak} kB"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_validate_streams_a_large_grid_in_bounded_memory():
+    # the child peaks near 17 MB, and at 33 MB when `validate` holds the
+    # grid's 400,001 points in a list
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "approximate", "--fn", "x", "--a", "0",
+         "--b", "1", "--eps", "0.05", "--lipschitz", "1", "--sup", "1", "--grid", "400001"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    values = parse_lines(proc.stdout)
+    # N = 200: the grid and the 24 knots it does not pass through
+    assert (values["N"], values["grid_size"], values["pass"]) == ("200", "400025", "True")
+    peak = int(values["VmHWM_kB"])
+    assert peak < 24 * 1024, f"peak RSS {peak} kB"
+
+
 def test_saturation_values(capsys):
     code, out, _ = run(capsys, ["saturation", "--h", "1", "--n", "3"])
     assert code == 0

@@ -762,12 +762,37 @@ def test_validate_reports_leftmost_tie():
 
 
 @st.composite
+def _shifted_interval(draw, p):
+    """An interval for the spec that differs from G's [a, b] = [x_1, x_{N+1}]
+    at one end or both: an end moves by -2h to 3h, or a lands on x_0 or
+    x_2 and b on x_N.  x_0 = a - h is a unit center but never a knot, and
+    x_1 = a is a knot without a unit of its own once the spec starts left
+    of it."""
+    def end(x, near):
+        if draw(st.booleans()):
+            return draw(st.sampled_from(near))
+        steps = st.one_of(st.integers(-4, 6).map(lambda k: k / 2), st.floats(-2.0, 3.0))
+        return x + draw(steps) * p.h
+
+    a, b = p.a, p.b
+    side = draw(st.sampled_from(["a", "b", "both"]))
+    if side != "b":
+        a = end(a, (p.points[0], p.points[2]))
+    if side != "a":
+        b = end(b, (p.points[-2],))
+    assume(a < b)
+    return a, b
+
+
+@st.composite
 def _walk_cases(draw):
     """(G, spec, grid_size) for validating with windows walked and with
     windows bisected.  Intervals are ordinary, a few ulps wide, where
     partition and grid points repeat, or nearly as wide as the doubles.
     G is built from f or made by hand, with slopes below about 1.7e-305
-    among them, which send every point through `_window_sum`'s guard."""
+    among them, which send every point through `_window_sum`'s guard.
+    Apart from the widest intervals, the spec's may differ from G's (see
+    `_shifted_interval`)."""
     shape = draw(st.sampled_from(["ordinary", "ulps", "small-w", "huge"]))
     if shape == "huge":
         # x - x_0 at x = b, b - a + h, overflows for some and not others
@@ -787,18 +812,24 @@ def _walk_cases(draw):
         grid = draw(st.one_of(st.integers(2, n), st.integers(n, 10 * n)))
     if shape in ("ordinary", "ulps") and draw(st.booleans()):
         spec = FunctionSpec.from_text(WIGGLY, a, b, lipschitz=WIGGLY_L, sup_bound=2.0)
-        return build_approximant(spec, manual_recipe(a, b, n)), spec, grid
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    p = unif_part(a, b, n)
-    if shape == "small-w":
-        w = draw(st.floats(5e-324, 1.6e-305))
-    elif shape == "huge":
-        w = draw(st.floats(5e-324, 2e-308))  # the window holds every unit
+        g = build_approximant(spec, manual_recipe(a, b, n))
     else:
-        w = draw(st.floats(0.1, 40.0)) / p.h
-    g = SigmoidApproximant(w=w, partition=p, coeff0=rng.uniform(-1.0, 1.0),
-                           coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(n)))
-    return g, FunctionSpec.from_text("x", a, b, lipschitz=1.0, sup_bound=1.0), grid
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        p = unif_part(a, b, n)
+        if shape == "small-w":
+            w = draw(st.floats(5e-324, 1.6e-305))
+        elif shape == "huge":
+            w = draw(st.floats(5e-324, 2e-308))  # the window holds every unit
+        else:
+            w = draw(st.floats(0.1, 40.0)) / p.h
+        g = SigmoidApproximant(w=w, partition=p, coeff0=rng.uniform(-1.0, 1.0),
+                               coeffs=tuple(rng.uniform(-1.0, 1.0) for _ in range(n)))
+        spec = FunctionSpec.from_text("x", a, b, lipschitz=1.0, sup_bound=1.0)
+    if shape != "huge" and draw(st.booleans()):
+        a, b = draw(_shifted_interval(g.partition))
+        spec = FunctionSpec.from_text(spec.text, a, b, lipschitz=spec.lipschitz,
+                                      sup_bound=spec.sup_bound)
+    return g, spec, grid
 
 
 def _validation(validator, g, spec, grid, with_rows=True):
@@ -821,6 +852,24 @@ def _overflowing_case():
     return g, FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0), 3
 
 
+def _left_of_x0_network():
+    """N = 4 on [0, 1] at w*h = ln 3.  Against a spec whose interval starts
+    left of x_0 = -0.25, x_0 is a unit center inside it but no knot, and
+    x_1 = 0 is a knot without a unit."""
+    p = unif_part(0.0, 1.0, 4)
+    return SigmoidApproximant(w=math.log(3.0) / p.h, partition=p, coeff0=0.5,
+                              coeffs=(0.1, -0.2, 0.3, 0.1))
+
+
+def test_validate_merges_x_1_but_not_x_0_when_the_spec_starts_left_of_both():
+    g = _left_of_x0_network()
+    spec = FunctionSpec.from_text("x", -1.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    rep = validate(g, spec, 0.5, 2)
+    # -1 and 1, then the knots x_1..x_4 = 0, 0.25, 0.5, 0.75
+    assert rep.grid_size == 6
+    assert rep == reference_validate(g, spec, 0.5, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_walk_cases())
 @example(_overflowing_case())
@@ -829,6 +878,7 @@ def test_validate_walks_to_the_windows_evaluate_bisects(case):
     got = _validation(validate, g, spec, grid)
     assert got == _validation(reference_validate, g, spec, grid)
     assert isinstance(got[0], tuple) or "too far from the unit centers" in got[0]
+    assert _validation(validate, g, spec, grid, with_rows=False) == (got[0], [])
 
 
 KNOT_FNS = ["sin(2*pi*x) + 0.5*x", WIGGLY, "x^2 - 3*x", "exp(x)*cos(9*x)"]
@@ -1047,9 +1097,12 @@ def _tiny_slope_case():
 def _grid_validations(draw):
     """(G, text, a, b, grid) from `_knot_networks` with grids from 2 to
     4N + 1 points: most points are uniform-grid points, and without rows
-    the grid skip decides their fate."""
-    case = draw(_knot_networks(max_n=300))
-    return (*case, draw(st.integers(2, 4 * case[0].partition.n_intervals + 1)))
+    the grid skip decides their fate.  [a, b] may differ from G's (see
+    `_shifted_interval`)."""
+    g, text, a, b = draw(_knot_networks(max_n=300))
+    if draw(st.booleans()):
+        a, b = draw(_shifted_interval(g.partition))
+    return g, text, a, b, draw(st.integers(2, 4 * g.partition.n_intervals + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1058,15 +1111,16 @@ def _grid_validations(draw):
 @example(_huge_interval_case())
 @example(_q_reaches_1_case())
 @example(_tiny_slope_case())
+@example((_left_of_x0_network(), "x", -0.3, 0.9, 13))
 def test_validate_without_rows_skips_grid_points_as_a_walk_that_evaluates_them_would_report(
     case,
 ):
     g, text, a, b, grid = case
     spec = FunctionSpec.from_text(text, a, b, lipschitz=1.0, sup_bound=1.0)
-    got = _validation(validate, g, spec, grid, with_rows=False)
-    assert got == _validation(reference_validate, g, spec, grid, with_rows=False)
+    want = _validation(reference_validate, g, spec, grid)
+    assert _validation(validate, g, spec, grid, with_rows=False) == (want[0], [])
     # rows make G run at every grid point; the report stays the same
-    assert _validation(validate, g, spec, grid)[0] == got[0]
+    assert _validation(validate, g, spec, grid) == want
 
 
 def test_validate_tries_the_two_units_around_each_grid_point(monkeypatch):
