@@ -13,7 +13,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import mul
 from typing import IO, Any, Callable, Iterable, Iterator, Union
 
 from .engine import Recipe, SigmoidApproximant, evaluate
@@ -40,18 +41,15 @@ _MAX = sys.float_info.max
 Destination = Union[str, os.PathLike, IO[str]]
 
 
-def _units(g: SigmoidApproximant) -> Iterator[dict[str, Any]]:
-    """G's units in document order: the x_0 unit first, then k = 2..N+1
-    ascending.  hidden_bias is -w * x_k exactly as computed here; readers
-    must not re-derive it."""
+def _units(g: SigmoidApproximant) -> Iterator[tuple[float, float, float]]:
+    """G's (hidden_weight, hidden_bias, output_coefficient) triples in
+    document order: the x_0 unit first, then k = 2..N+1 ascending, all with
+    the one object w.  hidden_bias is -w * x_k exactly as computed here."""
     w = g.w
-    for center, coeff in zip(g.centers, g.unit_coeffs):
-        yield {"hidden_weight": w, "hidden_bias": -w * center, "output_coefficient": coeff}
+    return zip(repeat(w), map(mul, repeat(-w), g.centers), g.unit_coeffs)
 
 
-def _document(
-    recipe: Recipe, spec: FunctionSpec, units: Iterable[dict[str, Any]]
-) -> dict[str, Any]:
+def _document(recipe: Recipe, spec: FunctionSpec, units: Iterable[Any]) -> dict[str, Any]:
     source = spec.text if spec.text is not None else format_ast(spec.ast)
     return {
         "format_version": FORMAT_VERSION,
@@ -77,7 +75,10 @@ def to_network_document(
 ) -> dict[str, Any]:
     """Flat JSON-able description of the network, one record per unit in
     the order of `_units`, and the recipe as metadata."""
-    return _document(recipe, spec, list(_units(g)))
+    return _document(recipe, spec, [
+        {"hidden_weight": w, "hidden_bias": bias, "output_coefficient": coeff}
+        for w, bias, coeff in _units(g)
+    ])
 
 
 def write_network(
@@ -85,8 +86,8 @@ def write_network(
 ) -> None:
     """Write the network document of G straight from G: the same bytes as
     write_network_document(to_network_document(g, recipe, spec), ...),
-    without holding the unit records."""
-    write_network_document(_document(recipe, spec, _units(g)), destination)
+    without a record per unit."""
+    _write_document(_document(recipe, spec, _units(g)), destination)
 
 
 def approximant_from_document(doc: dict[str, Any]) -> SigmoidApproximant:
@@ -182,23 +183,30 @@ def _json_value(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
-def _write_units(fh: IO[str], units: Iterable[dict[str, Any]]) -> None:
-    """The units as json.dump(..., indent=2) lays them out, one write per
-    unit.  The shared weight's text is formatted again only when a unit
-    holds a different weight object."""
-    write = fh.write
+def _write_units(fh: IO[str], units: Iterable[Iterable[Any]]) -> None:
+    """The units, (hidden_weight, hidden_bias, output_coefficient) triples,
+    as json.dump(..., indent=2) lays them out, one write per unit.  A finite
+    float is written inline, anything else through `_json_value`; the
+    shared weight's text is formatted again only for another weight object."""
+    write, text, finite = fh.write, float.__repr__, math.isfinite
     weight, head, sep = object(), "", ""
-    for i, unit in enumerate(units):
-        if tuple(unit) != UNIT_KEYS:
-            raise ValueError(f"unit {i} has keys {list(unit)}, want {list(UNIT_KEYS)}")
-        w, bias, coeff = unit.values()
+    for w, bias, coeff in units:
         if w is not weight:
             weight = w
             head = f'\n    {{\n      "hidden_weight": {_json_value(w)},\n      "hidden_bias": '
-        write(f'{sep}{head}{_json_value(bias)},\n      "output_coefficient": '
-              f'{_json_value(coeff)}\n    }}')
+        bias = text(bias) if type(bias) is float and finite(bias) else _json_value(bias)
+        coeff = text(coeff) if type(coeff) is float and finite(coeff) else _json_value(coeff)
+        write(f'{sep}{head}{bias},\n      "output_coefficient": {coeff}\n    }}')
         sep = ","
     write("\n  ]" if sep else "]")
+
+
+def _checked_units(units: Iterable[dict[str, Any]]) -> Iterator[Iterable[Any]]:
+    """Each unit's values; ValueError at the first unit whose keys are not UNIT_KEYS."""
+    for i, unit in enumerate(units):
+        if tuple(unit) != UNIT_KEYS:
+            raise ValueError(f"unit {i} has keys {list(unit)}, want {list(UNIT_KEYS)}")
+        yield unit.values()
 
 
 def write_network_document(doc: dict[str, Any], destination: Destination) -> None:
@@ -209,6 +217,11 @@ def write_network_document(doc: dict[str, Any], destination: Destination) -> Non
     what it held, and a stream holds the units before it."""
     if "units" not in doc:
         raise ValueError("a network document needs units")
+    _write_document(dict(doc, units=_checked_units(doc["units"])), destination)
+
+
+def _write_document(doc: dict[str, Any], destination: Destination) -> None:
+    """Both entry points' one writer: `doc`, its units given as triples."""
     with _output(destination) as fh:
         sep = "{\n"
         for key, value in doc.items():

@@ -279,14 +279,18 @@ class _Parser:
 def parse(text: str) -> Node:
     """Parse `text` into an AST; raises LexError / ExprSyntaxError /
     UnknownIdentifierError with the offending position (for nesting past
-    the recursion limit, that of the next token)."""
+    the recursion limit, that of the next token, or of the function name
+    whose "(" is next)."""
     parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
-        # the limit can strike after the end of input was read
-        _, _, pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
-        raise ExprSyntaxError("expression nests too deeply", pos) from None
+        # the limit can strike after the end of input was read, or between
+        # a function's name and its "(", whatever the caller's stack depth
+        tokens, i = parser.tokens, min(parser.i, len(parser.tokens) - 1)
+        if i and tokens[i][1] == "(" and tokens[i - 1][1] in FUNCTIONS:
+            i -= 1
+        raise ExprSyntaxError("expression nests too deeply", tokens[i][2]) from None
 
 
 def _closure(node: Node) -> tuple[Callable[[float], float], Optional[float]]:

@@ -405,6 +405,25 @@ def test_validate_streams_a_large_grid_in_bounded_memory():
     assert peak < 24 * 1024, f"peak RSS {peak} kB"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
+def test_write_network_streams_a_large_network_in_bounded_memory(tmp_path):
+    # N = 100,000.  The network adds nothing to the child's peak, which
+    # the build and validation set; holding the biases in a list adds
+    # 4 MB, and a dict per unit 23 MB
+    argv = [sys.executable, "-c", PEAK_RSS_CHILD, "approximate", "--fn", "x", "--a", "0",
+            "--b", "1", "--eps", "1e-4", "--lipschitz", "1", "--sup", "1", "--grid", "11"]
+    net = tmp_path / "net.json"
+    peaks = []
+    for extra in ([], ["--out-network", str(net)]):
+        proc = subprocess.run(argv + extra, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        values = parse_lines(proc.stdout)
+        assert values["N"] == "100000"
+        peaks.append(int(values["VmHWM_kB"]))
+    assert net.read_text().count('"output_coefficient"') == 100_001
+    assert peaks[1] - peaks[0] < 2 * 1024, f"peak RSS {peaks[0]} kB, {peaks[1]} kB when writing"
+
+
 def test_saturation_values(capsys):
     code, out, _ = run(capsys, ["saturation", "--h", "1", "--n", "3"])
     assert code == 0

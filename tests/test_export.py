@@ -71,6 +71,16 @@ def hand_pipeline(text, a, b, n):
     return spec, recipe, build_approximant(spec, recipe)
 
 
+def overflowing_pipeline():
+    """G with w = 1e300 on [1e10, 2e10] and N = 2: every bias -w * x_k
+    overflows to -inf, which JSON spells -Infinity."""
+    spec, recipe, _ = hand_pipeline("x", 1e10, 2e10, 2)
+    recipe = dataclasses.replace(recipe, w=1e300)
+    g = build_approximant(spec, recipe)
+    assert [-g.w * c for c in g.centers] == [-math.inf] * 3
+    return spec, recipe, g
+
+
 def hand_document(text, a, b, n):
     """The document of `hand_pipeline`'s G."""
     spec, recipe, g = hand_pipeline(text, a, b, n)
@@ -170,13 +180,16 @@ def test_writer_matches_json_layout(make_doc, tmp_path):
         lambda: pipeline(WIGGLY, 1.0 + 1.8 * math.pi + 0.2, 1.05, 0.01),
         lambda: hand_pipeline("x^2", 0.0, 1.0, 1),
         lambda: hand_pipeline("x", -1.0, 1.0, 2),
+        overflowing_pipeline,
     ],
-    ids=["wiggly", "n1", "negative-zero-bias"],
+    ids=["wiggly", "n1", "negative-zero-bias", "overflowing-bias"],
 )
 def test_write_network_matches_the_document_writer(make, tmp_path):
     spec, recipe, g = make()
     want = io.StringIO()
-    write_network_document(to_network_document(g, recipe, spec), want)
+    doc = to_network_document(g, recipe, spec)
+    write_network_document(doc, want)
+    assert want.getvalue() == reference_network_json(doc)
     out = io.StringIO()
     write_network(g, recipe, spec, out)
     assert out.getvalue() == want.getvalue()

@@ -51,10 +51,17 @@ def test_two_hundred_nested_parentheses_parse():
 @pytest.mark.parametrize("opener", ["(", "sin("])
 def test_nesting_past_the_recursion_limit_is_a_syntax_error(opener):
     text = opener * 300 + "x" + ")" * 300
-    with pytest.raises(ExprSyntaxError, match="^expression nests too deeply at position") as exc:
-        parse(text)
-    # the token the parser reached when the limit stopped it
-    assert text[exc.value.position:].startswith(opener)
+
+    def nested(extra):
+        return parse(text) if extra == 0 else nested(extra - 1)
+
+    # the token the parser reached when the limit stopped it, at any stack
+    # depth of the caller: the limit can strike between "sin" and its "("
+    for extra in range(8):
+        with pytest.raises(ExprSyntaxError,
+                           match="^expression nests too deeply at position") as exc:
+            nested(extra)
+        assert text[exc.value.position:].startswith(opener), extra
 
 
 def test_nesting_that_reaches_the_limit_at_the_end_of_input_is_a_syntax_error():
