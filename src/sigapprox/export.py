@@ -202,8 +202,11 @@ def _write_units(fh: IO[str], units: Iterable[Iterable[Any]]) -> None:
 
 
 def _checked_units(units: Iterable[dict[str, Any]]) -> Iterator[Iterable[Any]]:
-    """Each unit's values; ValueError at the first unit whose keys are not UNIT_KEYS."""
+    """Each unit's values; ValueError at the first unit that is not a dict
+    whose keys are UNIT_KEYS."""
     for i, unit in enumerate(units):
+        if not isinstance(unit, dict):
+            raise ValueError(f"unit {i} is a {type(unit).__name__}, want an object")
         if tuple(unit) != UNIT_KEYS:
             raise ValueError(f"unit {i} has keys {list(unit)}, want {list(UNIT_KEYS)}")
         yield unit.values()

@@ -21,20 +21,31 @@ closure reads a constant operand, and x beside one, in place: `c*x` is
 one call, fn(c, x), and `2*pi*x` multiplies 2 by pi once, not at every
 call.  Any other x operand, as in sin(x) or x*g(x), is the closure
 `lambda x: x`, which the benchmark's expressions do not have.
-An op's closure evaluates its operands left to right and then makes the
-op's `OPS` call.  A fold makes the same `OPS` calls on the same doubles,
-so every value of f comes from the same float operations, in the same
-order, as a walk of the tree, and is the same double.  A subtree whose
-fold raises, such as 1/(1-1), is left unfolded, so every call of f raises
-the same EvalDomainError as a walk, naming that call's x and the same
-node.  `evaluate_ast(node, x)` builds the closures of `node` and calls
-them: the library has one evaluator.
+An op's closure is one line around the op's `OPS` call, such as
+`lambda x: fn(a(x), b)`, and catches nothing.  A fold makes the same
+`OPS` calls on the same doubles, so every value of f comes from the same
+float operations, in the same order, as a walk of the tree, and is the
+same double.  A subtree whose fold raises, such as 1/(1-1), is left
+unfolded: its closure makes the raising call again at each call of f.
+`evaluate_ast(node, x)` builds the closures of `node` and calls them:
+the library has one evaluator.
+
+Errors are caught in one place, the `try` of `FunctionSpec.__call__` (and
+of `evaluate_ast`), which adds no frame while f succeeds.  When f raises,
+or its value is not finite, `_failure` walks the tree once, in a loop
+with a value stack, making each op's `OPS` call on the same doubles in
+the same order.  The first call that raises names its node in an
+EvalDomainError with the op's message and x; an op with no message lets
+its own error through.  With no call raising, the first node whose value
+is not finite is named as an overflow.  So the failing node costs at
+most twice the calls of one evaluation.
 
 The benchmark's wiggly, deep-estimated and large-n expressions make 10,
-79 and 4 closure calls per call of f, where a closure for every node made
-21, 143 and 10.  Over 10,000 points of [0, 1] (median of 15 passes, then
-of 5 alternating processes; Python 3.11.7, 2 cores), a call of f went
-from 2.34, 10.72 and 0.92 us to 1.14, 7.21 and 0.54 us.
+79 and 4 closure calls per call of f.  Over 10,000 points of [0, 1]
+(minimum of 15 passes, 4 alternating process pairs pinned to one CPU;
+Python 3.11.7, 2 cores), a call of f takes 0.52-0.62, 3.71-4.12 and
+0.26-0.29 us, where closures that each held a handler took 0.62-0.69,
+4.25-4.80 and 0.29-0.34 us.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .partition import uniform_grid
 
@@ -142,9 +153,9 @@ def _real_pow(base: float, exponent: float) -> float:
 
 
 # The operator table: node op name -> (arity, spelling in source text,
-# call, message).  When the call raises one of _DOMAIN_ERRORS, the
-# evaluator raises EvalDomainError(message), or lets the exception
-# through if message is None.  `/`, log and sqrt raise on exactly the
+# call, message).  When the call raises one of _DOMAIN_ERRORS, f raises
+# EvalDomainError(message), or lets the exception through if message is
+# None (`_failure` finds the call).  `/`, log and sqrt raise on exactly the
 # inputs outside their domain: x/0.0 and x/-0.0, log of zero or below,
 # sqrt below -0.0 (sqrt(-0.0) is -0.0).  nan passes through all three.
 OPS: dict[str, tuple[int, str, Callable[..., float], Optional[str]]] = {
@@ -293,98 +304,52 @@ def parse(text: str) -> Node:
         raise ExprSyntaxError("expression nests too deeply", tokens[i][2]) from None
 
 
+def _operands(node: Node) -> tuple[Node, ...]:
+    """The operands of `node`, left to right: none for a leaf."""
+    kind = type(node)
+    return (node.operand,) if kind is Unary else (node.left, node.right) if kind is Binary else ()
+
+
+# an op node's closure by its operands' shape, a letter each: "c" is a
+# constant and "x" is x beside one, both read in place, and "f" is a
+# closure, called.  Each makes its op's one `OPS` call and catches nothing
+_SHAPES = {
+    "f": lambda fn, a: lambda x: fn(a(x)),
+    "xc": lambda fn, a, b: lambda x: fn(x, b),
+    "cx": lambda fn, a, b: lambda x: fn(a, x),
+    "cf": lambda fn, a, b: lambda x: fn(a, b(x)),
+    "fc": lambda fn, a, b: lambda x: fn(a(x), b),
+    "ff": lambda fn, a, b: lambda x: fn(a(x), b(x)),
+}
+
+
 def _closure(node: Node) -> tuple[Callable[[float], float], Optional[float]]:
     """(x -> the value of `node` at x, that value if it is folded, else None).
 
     A subtree that holds no Var is folded here into its value, by the
     `OPS` calls that its closures would make on the same doubles, so into
-    the same double.  Op nodes get closures, and folded constants are
-    their operands, as is x beside a constant; any other x is the
-    closure `lambda x: x`.  A subtree whose fold raises is not folded: it
-    keeps a closure for every node, leaves too, and raises at each call,
-    with that call's x."""
-    kind = type(node)
-    if kind is Var:
+    the same double.  Op nodes get closures, one `OPS` call each, and
+    folded constants are their operands, as is x beside a constant; any
+    other x is the closure `lambda x: x`.  A subtree whose fold raises is
+    not folded: its closure makes the raising call again at each call.
+    No closure catches an error; `_failure` names the node."""
+    if type(node) is Var:
         return (lambda x: x), None
-    if kind is Pi or kind is Const:
-        value = math.pi if kind is Pi else node.value
+    if type(node) is Pi or type(node) is Const:
+        value = math.pi if type(node) is Pi else node.value
         return (lambda x: value), value
-    _, _, fn, message = OPS[node.op]
-    children = (node.operand,) if kind is Unary else (node.left, node.right)
-    built = [_closure(child) for child in children]
-    if all(value is not None for _, value in built):
+    fn = OPS[node.op][2]
+    closures, values = zip(*[_closure(child) for child in _operands(node)])
+    if None not in values:
         try:
-            value = fn(*[value for _, value in built])
+            value = fn(*values)
         except _DOMAIN_ERRORS:
-            built = [(closure, None) for closure, _ in built]
-        else:
-            return (lambda x: value), value
-    constant = [value is not None for _, value in built]
-    shape = "".join("c" if is_constant else "x" if type(child) is Var and any(constant) else "f"
-                    for child, is_constant in zip(children, constant))
-    operands = [closure if value is None else value for closure, value in built]
-    return _op_closure(shape, fn, message, node, *operands), None
-
-
-def _op_closure(
-    shape: str,
-    fn: Callable[..., float],
-    message: Optional[str],
-    node: Node,
-    a: object,
-    b: object = None,
-) -> Callable[[float], float]:
-    """The closure of an op node.  `shape` is one of "f", "xc", "cx",
-    "cf", "fc" and "ff", one letter per operand: "x" and "c" are x and a
-    constant, read in place, and "f" is a closure, called.  `a` and `b`
-    are the operands: the constant or the closure (unused for "x").  Operands evaluate left to right, a call
-    before the try, so that an error it raises keeps its own node.  The
-    try around the `OPS` call turns a domain error into
-    EvalDomainError(message, node, x); an op with no message catches
-    nothing, `except ()`, and lets its error through as it is."""
-    errors = _DOMAIN_ERRORS if message is not None else ()
-    if shape == "f":
-        def op(x: float) -> float:
-            value = a(x)
-            try:
-                return fn(value)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "xc":
-        def op(x: float) -> float:
-            try:
-                return fn(x, b)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "cx":
-        def op(x: float) -> float:
-            try:
-                return fn(a, x)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "cf":
-        def op(x: float) -> float:
-            rhs = b(x)
-            try:
-                return fn(a, rhs)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    elif shape == "fc":
-        def op(x: float) -> float:
-            lhs = a(x)
-            try:
-                return fn(lhs, b)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    else:
-        def op(x: float) -> float:
-            lhs = a(x)
-            rhs = b(x)
-            try:
-                return fn(lhs, rhs)
-            except errors:
-                raise EvalDomainError(message, node, x) from None
-    return op
+            return (lambda x: fn(*values)), None
+        return (lambda x: value), value
+    beside = values.count(None) < len(values)  # a constant beside x or a closure
+    shape = "".join("c" if value is not None else "x" if beside and type(child) is Var else "f"
+                    for child, value in zip(_operands(node), values))
+    return _SHAPES[shape](fn, *[c if v is None else v for c, v in zip(closures, values)]), None
 
 
 def evaluate_ast(node: Node, x: float) -> float:
@@ -394,18 +359,37 @@ def evaluate_ast(node: Node, x: float) -> float:
     EvalDomainError.  Other arithmetic can overflow to inf or nan here;
     `FunctionSpec` checks the result.  Builds the closures for `node` on
     every call: `FunctionSpec` builds them once and keeps them."""
-    return _closure(node)[0](x)
+    try:
+        return _closure(node)[0](x)
+    except _DOMAIN_ERRORS:
+        raise _failure(node, x) from None
 
 
-def _post_order(node: Node) -> Iterator[Node]:
-    """The nodes in the order `evaluate_ast` finishes them: operands left
-    to right, then the node itself."""
-    if isinstance(node, Unary):
-        yield from _post_order(node.operand)
-    elif isinstance(node, Binary):
-        yield from _post_order(node.left)
-        yield from _post_order(node.right)
-    yield node
+def _failure(root: Node, x: float) -> Exception:
+    """The error of `root` at x, where its closures raised or gave a value
+    that is not finite.  One walk, with no recursion, takes the nodes in
+    the order the closures finish them and makes each op's `OPS` call on
+    its operands' values: the same doubles, in the same order.  The first
+    call that raises gives EvalDomainError(message, node, x), or its own
+    error if the op has no message.  If none raises, the first node whose
+    value is not finite gives EvalDomainError("overflow in ...")."""
+    order, pending = [], [root]
+    while pending:  # each node before its right subtree, then its left
+        order.append(pending.pop())
+        pending += _operands(order[-1])
+    values, stack = [], []
+    for node in reversed(order):  # operands left to right, then the node
+        if type(node) is Unary or type(node) is Binary:
+            arity, _, fn, message = OPS[node.op]
+            try:
+                stack[-arity:] = [fn(*stack[-arity:])]
+            except _DOMAIN_ERRORS as error:
+                return error if message is None else EvalDomainError(message, node, x)
+        else:
+            stack.append(x if type(node) is Var else math.pi if type(node) is Pi else node.value)
+        values.append((node, stack[-1]))
+    node = next(node for node, value in values if not math.isfinite(value))
+    return EvalDomainError(f"overflow in {format_ast(node)}", node, x)
 
 
 def format_ast(node: Node) -> str:
@@ -502,18 +486,20 @@ class FunctionSpec:
         evaluation order, whose value is not finite.  Only the result is
         checked: a finite result reached through an infinite intermediate,
         such as 1/(1e300*x*1e300) = 0.0 at x = 1, is returned as it is.
-        A tree too deep to build or run the closures at this call's stack
-        depth, such as a 1,500-term sum, raises ExprError."""
+        A tree too deep to build or run the closures, or to name the node,
+        at this call's stack depth, such as a 1,500-term sum, raises
+        ExprError."""
         try:
-            value = self._evaluate(x)
-            if not math.isfinite(value):
-                node = next(
-                    n for n in _post_order(self.ast) if not math.isfinite(evaluate_ast(n, x))
-                )
-                raise EvalDomainError(f"overflow in {format_ast(node)}", node, x)
+            try:
+                value = self._evaluate(x)
+                if math.isfinite(value):
+                    return value
+            except _DOMAIN_ERRORS:
+                pass
+            # inside the outer try: format_ast recurses as deep as the tree
+            raise _failure(self.ast, x)
         except RecursionError:
             raise ExprError("expression nests too deeply to evaluate") from None
-        return value
 
 
 # Deliberate over-approximation factors: the construction only needs upper

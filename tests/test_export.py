@@ -237,8 +237,11 @@ def test_writer_matches_json_on_edited_units():
         {"hidden_weight": 1.0, "hidden_bias": 0.0, "output_coefficient": 0.0, "extra": 1},
         {"hidden_bias": 0.0, "hidden_weight": 1.0, "output_coefficient": 0.0},
         {"hidden_weight": 1.0, "hidden_bias": 0.0},
+        # iterates to the keys, but has no values
+        ["hidden_weight", "hidden_bias", "output_coefficient"],
+        1.0,
     ],
-    ids=["extra-key", "reordered", "missing-key"],
+    ids=["extra-key", "reordered", "missing-key", "list-of-keys", "number"],
 )
 def test_writer_rejects_other_unit_layouts(unit):
     doc = n1_document()

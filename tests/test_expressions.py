@@ -196,8 +196,8 @@ def test_an_exponent_with_x_is_refused_at_its_caret(text, position):
 def test_a_900_deep_pow_chain_parses_without_rescanning_its_exponents(monkeypatch):
     # a '^' that walked its whole exponent would parse the chain in cubic time
     calls = []
-    walk = expressions._post_order
-    monkeypatch.setattr(expressions, "_post_order", lambda node: calls.append(node) or walk(node))
+    step = expressions._operands
+    monkeypatch.setattr(expressions, "_operands", lambda node: calls.append(node) or step(node))
     node = parse("2^" * 900 + "1")
     assert calls == []
     for _ in range(900):
@@ -267,6 +267,52 @@ def test_overflowing_result_names_the_first_node_that_overflowed(text, x, culpri
     assert format_ast(exc.value.node) == culprit
     assert exc.value.x == x
     assert str(exc.value) == f"overflow in {culprit} (at x={x!r})"
+
+
+def counted_ops(monkeypatch):
+    """Replace every `OPS` call by one that appends the op's name to the
+    returned list, for closures built from here on."""
+    calls = []
+    for name, (arity, symbol, fn, message) in list(OPS.items()):
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setitem(OPS, name, (arity, symbol, counted, message))
+    return calls
+
+
+@pytest.mark.parametrize("last, x", [("ln(x-2)", 0.5), ("1e300*x*1e300", 1.0)])
+def test_naming_the_failing_node_takes_one_walk(monkeypatch, last, x):
+    # 399 sums, then sub and ln or two products: 401 op nodes.  Evaluating
+    # every subtree to find the node would make about 80,000 calls
+    calls = counted_ops(monkeypatch)
+    spec = FunctionSpec.from_text("+".join(["x"] * 399 + [last]), 0.0, 1.0)
+    with pytest.raises(EvalDomainError) as exc:
+        spec(x)
+    assert len(calls) <= 2 * 401
+    node = exc.value.node
+    if last.startswith("ln"):
+        with pytest.raises(EvalDomainError) as want:
+            reference_evaluate_ast(spec.ast, x)
+        assert node is want.value.node
+        assert str(exc.value) == str(want.value) == "ln of non-positive value (at x=0.5)"
+    else:
+        # the last term is the first node to leave the range: its operands
+        # and the 399 terms before it are finite
+        assert node is spec.ast.right
+        assert math.isinf(reference_evaluate_ast(node, x))
+        assert math.isfinite(reference_evaluate_ast(node.left, x))
+        assert math.isfinite(reference_evaluate_ast(spec.ast.left, x))
+        assert str(exc.value) == "overflow in ((1e+300 * x) * 1e+300) (at x=1.0)"
+    assert exc.value.x == x
+
+
+def test_an_op_with_no_message_lets_its_own_error_through():
+    # an int too large for a float: the product raises OverflowError itself
+    with pytest.raises(OverflowError) as exc:
+        evaluate_ast(parse("x*2"), 10**400)
+    assert type(exc.value) is OverflowError
 
 
 def test_finite_result_through_an_infinite_intermediate_is_kept():
@@ -389,10 +435,10 @@ def test_a_subtree_with_no_x_is_evaluated_when_the_closures_are_built(monkeypatc
              "1/(1-1) + x", "x*ln(0)", "exp(1000) - sin(x)", "x^((0-8)^(1/3))"])
 def test_a_raising_subtree_with_no_x_raises_at_each_call(text):
     ast = parse(text)
-    closure, value = expressions._closure(ast)  # building raises nothing
+    _, value = expressions._closure(ast)  # building raises nothing and folds nothing
     assert value is None
     for x in (0.0, -0.5, 0.75, math.inf):
-        got = outcome(lambda _, x: closure(x), ast, x)
+        got = outcome(evaluate_ast, ast, x)
         assert got == outcome(reference_evaluate_ast, ast, x)
         assert got[0] is EvalDomainError and got[1].endswith(f"(at x={x!r})")
 
