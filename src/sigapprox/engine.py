@@ -18,9 +18,10 @@ a network of N+1 units whose output weights are forward differences of f.
 The sup error on [a, b] is provably below eps; `validate` measures it on a
 grid, and `error_decomposition` exposes the proof's I1/I2 split through the
 local surrogate L_i that pretends all far sigmoids are saturated.
-`validate` evaluates G only where it might move the sup: at a knot it
-first tries the one-unit closed form, at a grid point the surrogate's
-two-unit sum, and skips G where that sits provably below the running sup.
+`validate` evaluates G, through `evaluate`, only where it might move the
+sup: at a knot it first tries the one-unit closed form, at a grid point
+the surrogate's two-unit sum, and skips G where that sits provably below
+the running sup.
 One walk over the partition points merges the knots into its grid and
 finds each grid point's two units.
 """
@@ -42,12 +43,11 @@ from typing import Callable, Iterator, Optional
 from .expressions import FunctionSpec, estimate_lipschitz, estimate_sup
 from .limits import sigmoid_saturation_slope
 from .partition import UniformPartition, select_index, unif_part, uniform_grid
-# The unit loop `_window_sum`, which `evaluate` and `validate` call, and
-# `surrogate_L` pass the sigmoid only finite arguments (see `_window_sum`'s
-# docstring), so this module's name `sigmoid` is the kernel without the
-# input guard.  They call it through this module-level name:
-# wrapping `engine.sigmoid` counts the sigmoid calls per G, as the
-# benchmark's probe and the lookahead tests do.
+# `evaluate`'s unit loop and `surrogate_L` pass the sigmoid only finite
+# arguments (see `evaluate`'s docstring), so this module's name `sigmoid`
+# is the kernel without the input guard.  They call it through this
+# module-level name: wrapping `engine.sigmoid` counts the sigmoid calls per
+# G, as the benchmark's probe and the lookahead tests do.
 from .sigmoid import finite_sigmoid as sigmoid
 
 __all__ = [
@@ -309,7 +309,7 @@ class SigmoidApproximant:
         the stored doubles; with e = exp(-w*gap), D = min(1, 2*e*LOOKAHEAD_SLACK)
         and q = e*LOOKAHEAD_SLACK.  The range is [-MAX, MAX] unless the
         window offsets exceed MAX/4, which takes w below about 1.7e-305; it
-        is then empty, and every x goes through `_window_sum`'s guard.  s(G)
+        is then empty, and every x goes through `evaluate`'s guard.  s(G)
         bounds |G(x_k) - Q_k| at a knot whose window leaves out unit 0 (see
         `validate`): with W = ceil(1600/(w*gap)) + 1 units at most in a
         window and gamma_n = n*2^-53/(1 - n*2^-53),
@@ -363,13 +363,14 @@ def build_approximant(spec: FunctionSpec, recipe: Recipe) -> SigmoidApproximant:
 def evaluate(g: SigmoidApproximant, x: float) -> float:
     """G(x), bit-identical to the naive sum over all units in ascending
     center order.  Evaluation outside [a, b] is permitted; the certificate
-    only covers the inside.
+    only covers the inside.  The one function that computes G at a point:
+    `validate` calls it at every point it cannot skip.
 
-    `evaluate` finds the start of x's sigmoid window with one bisection of
-    the centers and passes it to `_window_sum`, the one copy of the unit
-    loop, which ends the window and guards x itself.  `validate` calls the
-    same loop, with window starts it walks along its ascending points
-    instead of bisecting at each one.
+    The sum runs over x's sigmoid window.  It starts at lo, the first
+    center at or above fl(x - pos), pos = POS_CUTOFF/w, found by one
+    bisection of the centers, and ends before the first center above
+    stop = fl(x - neg), neg = NEG_CUTOFF/w: the prefix sum of the units
+    left of lo, then the unit loop with its exact early exit.
 
     Three shortcuts skip units without changing a bit of the result:
 
@@ -421,21 +422,6 @@ def evaluate(g: SigmoidApproximant, x: float) -> float:
     units than the D = 1 rule would.  When acc is 0 or subnormal,
     ulp(acc)/8 is 0 or underflows, so the loop never leaves early there.
 
-    Why every t is finite: see `_window_sum`, which guards x.
-    """
-    kernel = g._kernel
-    x = float(x)
-    # kernel[1] is the centers and kernel[5] the offset pos (see `_kernel`)
-    return _window_sum(kernel, x, bisect_left(kernel[1], x - kernel[5]))
-
-
-def _window_sum(kernel: tuple, x: float, lo: int) -> float:
-    """G(x) from the window that starts at lo, the first center at or above
-    fl(x - pos), pos = POS_CUTOFF/w, and ends before the first center above
-    stop = fl(x - neg), neg = NEG_CUTOFF/w: the prefix sum of the units
-    left of lo, then the unit loop with its exact early exit (see
-    `evaluate`).  The only copy of the loop, the window's end and the guard.
-
     The loop finds the window's end itself.  It tests each center against
     stop before that unit's sigmoid, and the centers ascend, so it visits
     the units of centers[lo:hi] with hi = bisect_right(centers, stop), in
@@ -443,7 +429,7 @@ def _window_sum(kernel: tuple, x: float, lo: int) -> float:
     sigmoid calls and the same double.  The lookahead exit almost always
     leaves before stop (about 6 units visited against a window of about
     68 at N = 99,487), so one comparison per visited unit costs less than
-    a bisection of all the centers.
+    a second bisection.
 
     Why every t is finite.  The sigmoid kernel has no input guard, so the
     guard is here, once per call.  The centers are finite (`unif_part`) and
@@ -456,8 +442,11 @@ def _window_sum(kernel: tuple, x: float, lo: int) -> float:
     [xlo, xhi] needs no check.  Outside it (every x, once w is below about
     1.7e-305), x must be finite and x - c must not overflow on
     centers[lo:hi]; it is largest at lo and smallest at hi - 1, so two
-    subtractions decide.  The guarded sigmoid refused such an x as well."""
-    w, centers, coeffs, prefix, tail, _, neg, cmax, floor, end, xlo, xhi, _ = kernel
+    subtractions decide.  The guarded sigmoid refused such an x as well.
+    """
+    w, centers, coeffs, prefix, tail, pos, neg, cmax, floor, end, xlo, xhi, _ = g._kernel
+    x = float(x)
+    lo = bisect_left(centers, x - pos)
     stop = x - neg
     if not xlo <= x <= xhi:
         if not -_MAX <= x <= _MAX:
@@ -532,18 +521,10 @@ def validate(
     is not finite gives sup_error and argmax_x, and no later point
     replaces it.
 
-    The start of G's sigmoid window is walked, not bisected.  lo starts at
-    0, and at each distinct point x it moves right while
-    centers[lo] < fl(x - pos).  The distinct points strictly ascend and
-    rounding is monotone, so fl(x - pos) never decreases from one point to
-    the next: every center left of lo passed the test at an earlier point
-    and passes it again.  The centers ascend, so the walk stops at the
-    first center that fails the test, which is
-    bisect_left(centers, x - pos): the start `evaluate` bisects.  The
-    window's end and the guard on x are `_window_sum`'s, as for `evaluate`,
-    so G(x) is the double `evaluate` returns, or the same ValueError.  lo
-    never moves left, so the walk costs O(N + points) comparisons in all,
-    where bisecting costs O(log N) at every point.
+    G at a point that is not skipped is `evaluate(g, x)`, its double or its
+    ValueError.  The proofs below speak of lo, the start of x's window in
+    `evaluate`: the first center at or above fl(x - pos), pos = POS_CUTOFF/w.
+    `validate` keeps no window state: both skips read x alone.
 
     The knots are the partition points inside the spec's (a, b), x_0
     left out: x_0, G's a - h, is a unit center only.  One pointer k over
@@ -557,15 +538,17 @@ def validate(
     left of it.  A knot's f from the build is entry u of `built_from`.
 
     Skipping G at a knot.  At knot x_k with unit u, the unit's argument is
-    t = w*(x_k - c_u) = 0 exactly and sigma(0) = 1/2 exactly, so the
-    computed G(x_k) is the fold of P[lo-1], then c_j*s_j for the window's
-    units j = lo..u-1, then fl(c_u/2), then the units right of x_k that the
-    loop visits, where P is G's prefix sums and c its unit coefficients.
-    Its closed form is Q_k = fl(P[u-1] + fl(c_u/2)): P[u-1] continues the
-    same fold from P[lo-1] with every s_j taken as 1.  When 0 < lo <= u
-    (unit 0, whose coefficient f(a) is not bounded by cmax, lies left of
-    the window; x_1 never passes, since there u = 0), every unit in the
-    window has |c_j| <= cmax = max|coeffs|, and
+    t = w*(x_k - c_u) = 0 exactly and sigma(0) = 1/2 exactly.  The skip
+    needs 0 < u and centers[0] < fl(x_k - pos), that is lo > 0: unit 0,
+    whose coefficient f(a) is not bounded by cmax, lies left of the
+    window (x_1 never passes, since there u = 0).  c_u = x_k is at or above
+    fl(x_k - pos), so lo <= u as well, and the computed G(x_k) is the fold
+    of P[lo-1], then c_j*s_j for the window's units j = lo..u-1, then
+    fl(c_u/2), then the units right of x_k that the loop visits, where P
+    is G's prefix sums and c its unit coefficients.  Its closed form is
+    Q_k = fl(P[u-1] + fl(c_u/2)): P[u-1] continues the same fold from
+    P[lo-1] with every s_j taken as 1.  Every unit in the window has
+    |c_j| <= cmax = max|coeffs|, and
 
         |G(x_k) - Q_k| <= 2*cmax*q/(1 - q) + R <= s(G)
 
@@ -576,7 +559,7 @@ def validate(
       (left) and s_j (right) are at most e^-|t| up to rounding, since
       sigma(-t) <= e^-t for t >= 0.  With q = e^(-w*gap)*(1 + 2^-20) the
       m-th term is at most cmax*q^m: |t| <= 1600 in the window (see
-      `_window_sum`), so the rounding of t, of w*gap, of exp and of the
+      `evaluate`), so the rounding of t, of w*gap, of exp and of the
       sigmoid moves e^-|t| by a relative 1e-12 at most, far inside
       (1 + 2^-20)^m.  Each side sums to at most cmax*q/(1 - q).
     - The rounding.  A window spans at most 1568/w, so it holds at most
@@ -611,7 +594,7 @@ def validate(
     above any error, so every knot is evaluated as before:
     - q >= 1, as with a small hand-built slope or repeated centers;
     - w below about 1.7e-305, where the kernel's range is empty and
-      `_window_sum` checks every x and may refuse it, while the proof takes
+      `evaluate` checks every x and may refuse it, while the proof takes
       G(x_k) to be computed;
     - the terms of s(G) overflow, as when the prefix sums do.
     With the paper's slope, w*gap is about ln(N - 1), so q is about
@@ -632,17 +615,25 @@ def validate(
     above x, and c_{k-2} (x_{k-1}, or x_0 when k = 2) is at or below it,
     so v = k - 2.  k = 1, a grid point left of G's a, gives v = -1, where
     the test below fails, as it would for the true v <= 0, since it needs
-    lo > 0.  k never moves left, so the one walk costs O(N + points)
+    v > 0.  k never moves left, so the one walk costs O(N + points)
     comparisons in all, knots and units together.  G is skipped when
-    0 < lo <= v < end - 1 (unit v + 1 exists: at x = b = x_{N+1} it does
-    not) and fl(|G~(x) - f(x)|) < cut, and |G(x) - G~(x)| <= s(G) holds as
-    at a knot:
+    0 < v < end - 1 (unit v + 1 exists: at x = b = x_{N+1} it does not),
+    centers[0] < fl(x - pos), as at a knot, and fl(|G~(x) - f(x)|) < cut.
+    c_{v+1} > x >= fl(x - pos), so lo <= v + 1, and |G(x) - G~(x)| <= s(G)
+    holds as at a knot in both cases:
 
-    - Unit v is in the window (lo <= v, and c_v <= x <= fl(x - neg)), and
-      so is v + 1 unless its center lies past the window's end.  G's fold
+    - lo <= v.  Unit v is in the window (c_v <= x <= fl(x - neg)), and so
+      is v + 1 unless its center lies past the window's end.  G's fold
       then adds the same two doubles fl(c_j*s_j), from the same t and the
       same sigmoid, and they cancel in the difference.  Past the end, t is
       below about -745, so s_{v+1} is 0 or subnormal: the underflow term.
+    - lo = v + 1.  Then c_v < fl(x - pos), so s_v is exactly 1.0, the fact
+      `evaluate`'s prefix read relies on, and G~'s fl(P[v-1] + c_v) is
+      P[v], where G's fold starts.  Both then add fl(c_{v+1}*s_{v+1}), or
+      G does not and s_{v+1} underflows, so |G - G~| is at most the right
+      tail and the rounding of G's later additions, within the bounds
+      below.  With the paper's slope, pos = 37h/ln(N - 1) >= h, so this
+      case never arises on a network the recipe builds.
     - The tails.  On the left x - c_j >= c_v - c_j >= (v - j)*gap, on the
       right c_j - x > c_j - c_{v+1} >= (j - v - 1)*gap, so the m-th unit
       on either side again has |t| >= m*w*gap, and each side sums to at
@@ -656,7 +647,7 @@ def validate(
     an x - c that overflows gives t = +-inf, whose sigmoid is 1.0 or 0.0.
     With `row` every grid point is evaluated, since its row carries G's
     own double.  The walk costs two sigmoid calls at each grid point, a
-    fraction of the window's (about 6 units, see `_window_sum`): on the
+    fraction of the window's (about 6 units, see `evaluate`): on the
     benchmark's wiggly network (N = 6,924) G runs at 477 of its 76,163
     points without `row`, against 69,243 with it."""
     if grid_size < 2:
@@ -666,10 +657,9 @@ def validate(
     a, b = spec.interval.a, spec.interval.b
     built = g.built_from
     known = built[1] if built is not None and built[0] is spec else None
-    kernel = g._kernel
-    w, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = kernel
+    w, centers, coeffs, prefix, _, pos, _, _, _, end, _, _, slack = g._kernel
+    first = centers[0]
     sig = sigmoid
-    lo = 0
     sup = cut = -1.0
     argmax = a
     count = 0
@@ -680,21 +670,20 @@ def validate(
         if x != prev:
             prev = x
             count += 1
-            start = x - pos
-            while lo < end and centers[lo] < start:
-                lo += 1
+            # lo > 0: unit 0 lies left of x's window in `evaluate`
+            clear = 0 < v and first < x - pos
             if knot:
                 fx = spec(x) if known is None else known[v]
-                if 0 < lo <= v and abs(prefix[v - 1] + coeffs[v] * 0.5 - fx) < cut:
+                if clear and abs(prefix[v - 1] + coeffs[v] * 0.5 - fx) < cut:
                     continue
             else:
                 fx = spec(x)
-                if row is None and 0 < lo <= v < end - 1 and abs(
+                if row is None and clear and v < end - 1 and abs(
                     prefix[v - 1] + coeffs[v] * sig(w * (x - centers[v]))
                     + coeffs[v + 1] * sig(w * (x - centers[v + 1])) - fx
                 ) < cut:
                     continue
-            gx = _window_sum(kernel, x, lo)
+            gx = evaluate(g, x)
             err = abs(gx - fx)
             # `not <=` is also true for nan; once sup is inf or nan it stays
             if not err <= sup and math.isfinite(sup):

@@ -8,9 +8,9 @@ The exceptions are `reference_G`, which defines what "bit-identical"
 means for the evaluator and so must use the library's own sigmoid,
 `sigmoid_deriv1` and `sigmoid_deriv2`, the product forms of the first two
 derivatives over the library's sigmoid kernel and its input guard, and
-`reference_validate`, which takes G from `evaluate` (a bisection at
-every point, where `validate` walks the sigmoid window), its points and
-rows from the grid references and f from a call at every point, apart
+`reference_validate`, which takes G from `evaluate` at every point,
+where `validate` skips it wherever its error sits provably below the
+running sup, its points and rows from the grid references and f from a call at every point, apart
 from `validate`'s merge of grid and knots and its reuse of the build's f
 values.  The grid references spell the grid formula out rather than
 calling the library's generator, the network document's layout is

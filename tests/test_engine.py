@@ -788,11 +788,11 @@ def _shifted_interval(draw, p):
 
 @st.composite
 def _walk_cases(draw):
-    """(G, spec, grid_size) for validating with windows walked and with
-    windows bisected.  Intervals are ordinary, a few ulps wide, where
-    partition and grid points repeat, or nearly as wide as the doubles.
-    G is built from f or made by hand, with slopes below about 1.7e-305
-    among them, which send every point through `_window_sum`'s guard.
+    """(G, spec, grid_size) for validating against the reference that
+    evaluates G at every point.  Intervals are ordinary, a few ulps wide,
+    where partition and grid points repeat, or nearly as wide as the
+    doubles.  G is built from f or made by hand, with slopes below about
+    1.7e-305 among them, which send every point through `evaluate`'s guard.
     Apart from the widest intervals, the spec's may differ from G's (see
     `_shifted_interval`)."""
     shape = draw(st.sampled_from(["ordinary", "ulps", "small-w", "huge"]))
@@ -848,7 +848,7 @@ def _validation(validator, g, spec, grid, with_rows=True):
 
 
 def _overflowing_case():
-    # x - x_0 overflows at x = b, so `_window_sum`'s guard refuses b
+    # x - x_0 overflows at x = b, so `evaluate`'s guard refuses b
     p = unif_part(-0.8e308, 0.8e308, 3)
     g = SigmoidApproximant(w=1e-320, partition=p, coeff0=0.5, coeffs=(0.25, -0.5, 1.0))
     return g, FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0), 3
@@ -875,7 +875,7 @@ def test_validate_merges_x_1_but_not_x_0_when_the_spec_starts_left_of_both():
 @settings(max_examples=60, deadline=None)
 @given(_walk_cases())
 @example(_overflowing_case())
-def test_validate_walks_to_the_windows_evaluate_bisects(case):
+def test_validate_reports_what_a_walk_that_evaluates_g_everywhere_reports(case):
     g, spec, grid = case
     got = _validation(validate, g, spec, grid)
     assert got == _validation(reference_validate, g, spec, grid)
@@ -889,15 +889,17 @@ KNOT_FNS = ["sin(2*pi*x) + 0.5*x", WIGGLY, "x^2 - 3*x", "exp(x)*cos(9*x)"]
 @st.composite
 def _knot_networks(draw, max_n=2000):
     """(G, text, a, b) for the knot bound: G built from f = scale*(text) at
-    the paper's slope times a factor from 1e-6 to 3, or made by hand with
-    coefficients of magnitude scale, from 1e-300 to 1e300, and f(a) up to
-    1e16 times larger, where the rounding of the prefix sums outweighs the
-    tails."""
+    the paper's slope times a factor from 1e-6 to 3, or at w*h from 40 to
+    700, where a point of a cell can lie more than POS_CUTOFF/w right of
+    its left center, or made by hand with coefficients of magnitude scale,
+    from 1e-300 to 1e300, and f(a) up to 1e16 times larger, where the
+    rounding of the prefix sums outweighs the tails."""
     n = draw(st.integers(3, max_n))
     a = draw(st.floats(-5.0, 5.0))
     b = a + draw(st.floats(1e-3, 10.0))
     p = unif_part(a, b, n)
-    wh = math.log(n - 1.0) * draw(st.sampled_from([1e-6, 0.01, 0.3, 1.0, 1.0, 3.0]))
+    factors = st.sampled_from([1e-6, 0.01, 0.3, 1.0, 1.0, 3.0])
+    wh = draw(st.one_of(factors.map(lambda k: math.log(n - 1.0) * k), st.floats(40.0, 700.0)))
     e = draw(st.integers(-300, 300))
     text = f"{10.0**e!r}*({draw(st.sampled_from(KNOT_FNS))})"
     if draw(st.booleans()):
@@ -941,15 +943,15 @@ def test_validate_skips_knots_as_a_walk_that_evaluates_them_would_report(case, d
     assert got == _validation(reference_validate, g, spec, grid)
 
 
-def _counted_window_sums(monkeypatch):
+def _counted_evaluations(monkeypatch):
     count = [0]
-    real = engine._window_sum
+    real = engine.evaluate
 
-    def counted(kernel, x, lo):
+    def counted(g, x):
         count[0] += 1
-        return real(kernel, x, lo)
+        return real(g, x)
 
-    monkeypatch.setattr(engine, "_window_sum", counted)
+    monkeypatch.setattr(engine, "evaluate", counted)
     return count
 
 
@@ -957,7 +959,7 @@ def test_validate_evaluates_g_at_few_knots_of_the_papers_network(monkeypatch):
     spec = make_spec("sin(2*pi*x) + 0.5*x", 2.0 * math.pi + 0.5, 1.5)
     g = build_approximant(spec, compute_recipe(spec, 0.015))
     assert g.partition.n_intervals == 4975
-    count = _counted_window_sums(monkeypatch)
+    count = _counted_evaluations(monkeypatch)
     rep = validate(g, spec, 0.015, 501)
     # the grid's 501 points, and under 1% of the 4,974 knots
     assert count[0] < 501 + 0.01 * 4974
@@ -972,7 +974,7 @@ def test_validate_evaluates_g_at_every_point_where_q_reaches_1(wh, monkeypatch):
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 300, w=wh * 300))
     assert g._kernel[12] == math.inf
-    count = _counted_window_sums(monkeypatch)
+    count = _counted_evaluations(monkeypatch)
     rep = validate(g, spec, 0.5, 101)
     assert count[0] == rep.grid_size > 101
 
@@ -1007,9 +1009,9 @@ def test_validate_evaluates_g_at_a_grid_point_whose_window_holds_the_f_a_unit():
     assert rep.argmax_x == 0.1 and 0.0179 < rep.sup_error < 0.0181
 
 
-def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkeypatch):
+def test_validate_evaluates_g_at_every_knot_where_evaluate_guards_x(monkeypatch):
     # w*h = 1.6, so q < 1, but w is below 1.7e-305, where the kernel's
-    # range is empty and every x goes through `_window_sum`'s guard
+    # range is empty and every x goes through `evaluate`'s guard
     p = unif_part(-0.8e308, 0.8e308, 100)
     rng = random.Random(3)
     g = SigmoidApproximant(w=1e-306, partition=p, coeff0=0.5,
@@ -1018,7 +1020,7 @@ def test_validate_evaluates_g_at_every_knot_where_the_window_sum_guards_x(monkey
     assert g._kernel[12] == math.inf
     spec = FunctionSpec.from_text("x", p.a, p.b, lipschitz=1.0, sup_bound=1.0)
     want = _validation(reference_validate, g, spec, 2)
-    count = _counted_window_sums(monkeypatch)
+    count = _counted_evaluations(monkeypatch)
     assert _validation(validate, g, spec, 2) == want
     assert count[0] == want[0][0] == 2 + 99
 
@@ -1050,7 +1052,8 @@ def _sign_flip_network():
 @example(_sign_flip_network(), 0)
 def test_g_at_a_grid_point_is_its_two_unit_surrogate_within_the_knot_slack(case, seed):
     # `validate` skips G at a grid point x in [c_v, c_{v+1}) whose window
-    # leaves out unit 0 on the bound |G(x) - G~(x)| <= s(G)
+    # leaves out unit 0 on the bound |G(x) - G~(x)| <= s(G), also where the
+    # window starts at v + 1
     g = case[0]
     slack = g._kernel[12]
     centers, pos = g.centers, POS_CUTOFF / g.w
@@ -1061,8 +1064,7 @@ def test_g_at_a_grid_point_is_its_two_unit_surrogate_within_the_knot_slack(case,
     for v in cells:
         left, right = centers[v], centers[v + 1]
         for x in (left, rng.uniform(left, right), math.nextafter(right, -math.inf)):
-            lo = bisect_left(centers, x - pos)
-            if not (left <= x < right and 0 < lo <= v):
+            if not (left <= x < right and centers[0] < x - pos):
                 continue
             assert bisect_right(centers, x) - 1 == v
             approx = _two_unit_sum(g, v, x)
@@ -1140,15 +1142,15 @@ def test_validate_tries_the_two_units_around_each_grid_point(monkeypatch):
     want = []
     for x in xs:
         v = bisect_right(centers, x) - 1
-        if 0 < bisect_left(centers, x - pos) <= v and v + 1 < len(centers):
+        if 0 < v < len(centers) - 1 and centers[0] < x - pos:
             want += [g.w * (x - centers[v]), g.w * (x - centers[v + 1])]
     calls, inside = [], [False]
-    real = engine._window_sum
+    real = engine.evaluate
 
-    def window_sum(kernel, x, lo):
+    def evaluated(g, x):
         inside[0] = True
         try:
-            return real(kernel, x, lo)
+            return real(g, x)
         finally:
             inside[0] = False
 
@@ -1157,7 +1159,7 @@ def test_validate_tries_the_two_units_around_each_grid_point(monkeypatch):
             calls.append(t)
         return sigmoid(t)
 
-    monkeypatch.setattr(engine, "_window_sum", window_sum)
+    monkeypatch.setattr(engine, "evaluate", evaluated)
     monkeypatch.setattr(engine, "sigmoid", recorded)
     rep = validate(g, spec, 0.5, 129)
     monkeypatch.undo()
@@ -1166,13 +1168,42 @@ def test_validate_tries_the_two_units_around_each_grid_point(monkeypatch):
     assert rep == reference_validate(g, spec, 0.5, 129)
 
 
+@pytest.mark.parametrize("wh", [40.0, 90.0, 700.0])
+def test_validate_skips_grid_points_whose_window_starts_right_of_their_left_unit(
+    wh, monkeypatch
+):
+    # w*h > POS_CUTOFF: at a grid point x in [c_v, c_{v+1}) more than
+    # POS_CUTOFF/w right of c_v, `evaluate`'s window starts at v + 1 and
+    # sigma(w*(x - c_v)) is exactly 1.0, so the two-unit sum starts where
+    # G's fold does.  No recipe network has such points
+    p = unif_part(0.0, 1.0, 50)
+    rng = random.Random(int(wh))
+    g = SigmoidApproximant(w=wh / p.h, partition=p, coeff0=0.5,
+                           coeffs=tuple(rng.uniform(-0.1, 0.1) for _ in range(50)))
+    spec = FunctionSpec.from_text("x", 0.0, 1.0, lipschitz=1.0, sup_bound=1.0)
+    centers, pos = g.centers, POS_CUTOFF / g.w
+    late = []
+    for x in reference_uniform_grid(0.0, 1.0, 1000):
+        v = bisect_right(centers, x) - 1
+        if 0 < v < len(centers) - 1 and bisect_left(centers, x - pos) == v + 1:
+            assert sigmoid(g.w * (x - centers[v])) == 1.0
+            late.append(x)
+    evaluated = []
+    real = engine.evaluate
+    monkeypatch.setattr(engine, "evaluate", lambda g, x: evaluated.append(x) or real(g, x))
+    want = _validation(reference_validate, g, spec, 1000)
+    assert _validation(validate, g, spec, 1000, with_rows=False) == (want[0], [])
+    assert len(late) > 50 and len(set(late) - set(evaluated)) > 0.9 * len(late)
+    assert _validation(validate, g, spec, 1000) == want
+
+
 def test_validate_evaluates_g_at_under_1_percent_of_wigglys_points_without_rows(monkeypatch):
     # the benchmark's wiggly workload: N = 6,924 and the CLI's default grid
     spec = make_spec(WIGGLY, WIGGLY_L, 1.05)
     g = build_approximant(spec, compute_recipe(spec, 0.01))
     n = g.partition.n_intervals
     assert n == 6924
-    count = _counted_window_sums(monkeypatch)
+    count = _counted_evaluations(monkeypatch)
     rep = validate(g, spec, 0.01, 10 * n)
     assert rep.grid_size == 10 * n + n - 1  # the grid and the knots x_2..x_N
     assert count[0] < 0.01 * rep.grid_size
@@ -1376,10 +1407,10 @@ def test_the_network_where_the_oracle_and_evaluate_disagreed_cannot_be_made():
 
 def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
     # as a network with a +inf and a -inf weight would, G is nan at every
-    # point; no such network can be made, so the unit loop is replaced
+    # point; no such network can be made, so `evaluate` is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo: math.nan)
+    monkeypatch.setattr(engine, "evaluate", lambda g, x: math.nan)
     rep = validate(g, spec, 0.2, 11)
     assert rep.passed is False
     assert math.isnan(rep.sup_error)
@@ -1389,12 +1420,12 @@ def test_validate_fails_a_network_that_evaluates_to_nan(monkeypatch):
 def test_validate_keeps_the_first_infinite_error(monkeypatch):
     # G is finite left of x = 0.56, inf up to 0.81 and nan beyond, as when
     # a steep network's +inf and then -inf unit wake; no such network can
-    # be made, so the unit loop, which `evaluate` calls too, is replaced
+    # be made, so `evaluate` is replaced
     spec = make_spec("x", 1.0, 1.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
-    real = engine._window_sum
-    monkeypatch.setattr(engine, "_window_sum", lambda kernel, x, lo: (
-        real(kernel, x, lo) if x < 0.56 else math.inf if x < 0.81 else math.nan))
+    real = engine.evaluate
+    monkeypatch.setattr(engine, "evaluate", lambda g, x: (
+        real(g, x) if x < 0.56 else math.inf if x < 0.81 else math.nan))
     xs = reference_validation_grid(0.0, 1.0, 101, g.partition.points)
     errs = [abs(engine.evaluate(g, x) - spec(x)) for x in xs]
     first = next(i for i, e in enumerate(errs) if not math.isfinite(e))
@@ -1406,11 +1437,11 @@ def test_validate_keeps_the_first_infinite_error(monkeypatch):
 
 def test_validate_a_later_finite_error_does_not_replace_nan(monkeypatch):
     # a G that is nan at one point only cannot be built from weights, so
-    # the unit loop is replaced for the walk
+    # `evaluate` is replaced for the walk
     spec = make_spec("0", 1.0, 0.0)
     g = build_approximant(spec, manual_recipe(0.0, 1.0, 4))
     monkeypatch.setattr(
-        engine, "_window_sum", lambda kernel, x, lo: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
+        engine, "evaluate", lambda g, x: {0.5: math.nan, 0.75: 3.0}.get(x, 0.0)
     )
     rep = validate(g, spec, 0.1, 5)
     assert math.isnan(rep.sup_error)

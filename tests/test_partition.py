@@ -1,9 +1,10 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sigapprox.partition import select_index, unif_part, uniform_grid
 
@@ -55,19 +56,33 @@ interval_strategy = st.tuples(
 
 
 @given(interval_strategy)
+@example((-339.0, 850.8328782254695, 25))
 def test_invariants(params):
     a, width, n = params
     b = a + width
     p = unif_part(a, b, n)
     h = (b - a) / n
-    assert len(p.points) == n + 2
+    # the closed formula bit for bit, then b itself
+    want = [a + (k - 1) * h for k in range(n + 1)] + [b]
+    assert list(map(float.hex, p.points)) == list(map(float.hex, want))
     assert p.points[0] == a - h
     assert p.points[1] == a
-    tol = 2 * math.ulp(max(abs(a), abs(b), h))
-    assert p.points[-1] == b
-    for lo, hi in zip(p.points, p.points[1:]):
-        assert hi > lo
-        assert abs((hi - lo) - h) <= tol
+    # How far a gap strays from h follows from that formula.  With
+    # u = 2^-53, x_k = fl(a + fl((k - 1)*h)) rounds twice, so it lies
+    # within e_k = u*(|(k - 1)*h| + |x_k|) of a + (k - 1)*h exactly (h is
+    # at least 2e-6, so no rounding here is subnormal, and x_1 = a + 0.0
+    # is exact).  b stands in for x_{N+1} = a + N*h: h = fl(fl(b - a)/N),
+    # so b - (a + N*h) is within e_{N+1} = u*(N*h + fl(b - a)).  A gap
+    # x_{k+1} - x_k, taken exactly, is then within e_k + e_{k+1} of h.
+    # e_k grows with |(k - 1)*h|, which exceeds max(|a|, |b|) when
+    # a < 0 < b, as in the example above.
+    u = Fraction(1, 2**53)
+    xs = list(map(Fraction, p.points))
+    errs = [u * (abs((k - 1) * Fraction(h)) + abs(xs[k])) for k in range(n + 1)]
+    errs.append(u * (n * Fraction(h) + Fraction(b - a)))
+    for k in range(n + 1):
+        assert p.points[k + 1] > p.points[k]
+        assert abs(xs[k + 1] - xs[k] - Fraction(h)) <= errs[k] + errs[k + 1]
 
 
 def test_last_point_is_b_where_closed_formula_misses():
