@@ -176,7 +176,8 @@ def cmd_approximate(args: argparse.Namespace) -> int:
     _check_outputs(args)
     spec = _build_spec(args)
     # validation's walk writes the samples: the file opens before f is
-    # evaluated and takes its place only if every step below succeeds
+    # evaluated and takes its place only if every step below succeeds (a
+    # FIFO or a device there is written through, see `export._output`)
     samples = export.samples_file(args.out_samples) if args.out_samples else nullcontext()
     with _writing(args.out_samples), samples as row:
         recipe = engine.compute_recipe(spec, args.eps)

@@ -216,8 +216,9 @@ def write_network_document(doc: dict[str, Any], destination: Destination) -> Non
     """Write `doc` byte for byte as json.dump(doc, fh, indent=2) and a
     newline would, streaming the units one record at a time.  Every unit
     must hold exactly UNIT_KEYS, in that order: the first unit that does
-    not raises ValueError, and the output stops before it: a path keeps
-    what it held, and a stream holds the units before it."""
+    not raises ValueError, and the output stops before it: a regular file
+    at a path keeps what it held, and a stream, a FIFO or a device holds
+    the units before it."""
     if "units" not in doc:
         raise ValueError("a network document needs units")
     _write_document(dict(doc, units=_checked_units(doc["units"])), destination)
@@ -265,13 +266,14 @@ def write_samples(
 
 @contextmanager
 def _replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
-    """An open text file that takes the place of `path` when the block ends
-    normally.  It is a temporary file beside `path`, created on entry, so
-    an unwritable path fails before the block runs.  When the block raises,
-    the file is removed and `path` keeps what it held: `path` never holds a
-    partial output.  `path` is replaced, not written through: a symlink
-    there becomes a regular file, and the file gets the permissions of a
-    new file rather than those of the old one."""
+    """An open text file that takes the place of `path`, a regular file or
+    nothing yet, when the block ends normally.  It is a temporary file
+    beside `path`, created on entry, so an unwritable path fails before the
+    block runs.  When the block raises, the file is removed and `path`
+    keeps what it held: `path` never holds a partial output.  `path` is
+    replaced, not written through: a symlink to a regular file becomes a
+    regular file, and the file gets the permissions of a new file rather
+    than those of the old one."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
@@ -287,12 +289,18 @@ def _replacing(path: Union[str, os.PathLike]) -> Iterator[IO[str]]:
 @contextmanager
 def _output(destination: Destination) -> Iterator[IO[str]]:
     """The one sink of every writer here: a stream is written through and
-    left open, and a path goes through `_replacing`."""
+    left open.  A path that names something other than a regular file (a
+    FIFO or a device, or a symlink to one) is opened and written through,
+    since replacing it would put a regular file in its place: a write that
+    fails there leaves what it wrote.  Any other path goes through
+    `_replacing`."""
     if hasattr(destination, "write"):
         yield destination
-    else:
-        with _replacing(destination) as fh:
-            yield fh
+        return
+    through = os.path.exists(destination) and not os.path.isfile(destination)
+    with (open(destination, "w", encoding="utf-8") if through
+          else _replacing(destination)) as fh:
+        yield fh
 
 
 @contextmanager

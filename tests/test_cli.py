@@ -661,6 +661,21 @@ def test_network_with_an_infinite_weight_exits_3(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out-samples", "--out-network"])
+def test_an_output_into_a_fifo_is_written_through(capsys, tmp_path, drained_fifo, flag):
+    # replacing the FIFO would leave a regular file in its place and send
+    # its reader nothing
+    argv = ["approximate", "--fn", "x", "--a", "0", "--b", "1", "--eps", "0.2",
+            "--lipschitz", "1", "--sup", "1", "--grid", "11", flag]
+    regular = tmp_path / "regular"
+    want = run(capsys, argv + [str(regular)])
+    got = run(capsys, argv + [str(drained_fifo.path)])
+    assert drained_fifo.read() == regular.read_bytes()
+    assert got == want and got[0] == 0
+    assert drained_fifo.path.is_fifo()
+    assert [p.name for p in drained_fifo.dir.iterdir()] == ["fifo"]
+
+
 def test_unwritable_samples_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path):
     def no_recipe(*args, **kwargs):
         raise AssertionError("the recipe must not be computed")

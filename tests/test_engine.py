@@ -27,7 +27,7 @@ from sigapprox.engine import (
     validate,
 )
 from sigapprox.expressions import EvalDomainError, FunctionSpec
-from sigapprox.partition import select_index, unif_part
+from sigapprox.partition import UniformPartition, select_index, unif_part
 from sigapprox.sigmoid import finite_sigmoid, sigmoid
 
 from oracles import (
@@ -573,13 +573,15 @@ def _lookahead_cases(rng):
     return cases
 
 
-def _window_rule_calls(g, x, d=1.0):
+def _window_rule_calls(g, x, d=1.0, cmax=None):
     """(G(x), sigmoid calls) under `evaluate`'s window and exit rule with
     the lookahead factor d: stop after a unit with t < 0 once
     cmax * d * s < ulp(acc)/8, and, while |acc| is below 2^-1000 *
     max(1, cmax), only once cmax * s < ulp(acc)/8 as well.  d = 1 is the
-    rule without the lookahead."""
-    w, centers, coeffs, cmax = g.w, g.centers, g.unit_coeffs, _cmax(g)
+    rule without the lookahead.  cmax defaults to `_cmax(g)`, an O(N)
+    pass that a caller at many points saves by passing it."""
+    w, centers, coeffs = g.w, g.centers, g.unit_coeffs
+    cmax = _cmax(g) if cmax is None else cmax
     lo = bisect_left(centers, x - POS_CUTOFF / w)
     hi = bisect_right(centers, x - NEG_CUTOFF / w)
     acc = g._kernel[3][lo - 1] if lo > 0 else 0.0
@@ -603,6 +605,7 @@ def test_lookahead_calls_fewer_sigmoids_on_the_worked_example(monkeypatch):
     assert g.partition.n_intervals == 6924
     gap = min(c2 - c1 for c1, c2 in zip(g.centers, g.centers[1:]))
     d = min(1.0, 2.0 * math.exp(-g.w * gap) * (1.0 + 2.0**-20))
+    cmax = _cmax(g)
     rng = random.Random(5)
     xs = [rng.uniform(0.0, 1.0) for _ in range(4000)]
     calls = []
@@ -617,13 +620,121 @@ def test_lookahead_calls_fewer_sigmoids_on_the_worked_example(monkeypatch):
         count[0] = 0
         gx = evaluate(g, x)
         calls.append(count[0])
-        want, old_calls = _window_rule_calls(g, x)
+        want, old_calls = _window_rule_calls(g, x, 1.0, cmax)
         assert _bits(gx) == _bits(want)
-        assert count[0] == _window_rule_calls(g, x, d)[1] <= old_calls
+        assert count[0] == _window_rule_calls(g, x, d, cmax)[1] <= old_calls
     monkeypatch.undo()
-    old_mean = sum(_window_rule_calls(g, x)[1] for x in xs) / len(xs)
+    old_mean = sum(_window_rule_calls(g, x, 1.0, cmax)[1] for x in xs) / len(xs)
     mean = sum(calls) / len(calls)
     assert 0 < mean <= 8.2 < 8.8 <= old_mean
+
+
+# intervals for the window-start networks: ordinary, four ulps wide (its
+# N + 1 centers repeat five doubles) and very wide; "uneven" is [0, 1]
+# with points 0.5 + 4*u^3, u = (k - 1)/N - 1/2, so that the guess from
+# the mean spacing lands far left of x's window above 0.5 and far right
+# of it below
+_WINDOW_START_INTERVALS = {
+    "ordinary": (0.0, 1.0),
+    "ulps": (1.0, 1.0 + 4 * 2.0**-52),
+    "wide": (-1e300, 1e300),
+    "uneven": (0.0, 1.0),
+}
+
+
+def _window_start_network(n, kind):
+    """A hand-built network of n intervals at the paper's slope on one of
+    `_WINDOW_START_INTERVALS`, with random forward differences."""
+    rng = random.Random(n)
+    p = unif_part(*_WINDOW_START_INTERVALS[kind], n)
+    if kind == "uneven":
+        points = tuple(0.5 + 4.0 * ((k - 1) / n - 0.5) ** 3 for k in range(n + 2))
+        p = UniformPartition(a=0.0, b=1.0, n_intervals=n, points=points[:-1] + (1.0,))
+    return SigmoidApproximant(w=math.log(n - 1) / p.h, partition=p, coeff0=0.5,
+                              coeffs=tuple(rng.uniform(-1.0, 1.0) / n for _ in range(n)))
+
+
+def _window_start_points(g, rng):
+    """Distinct points where `evaluate`'s window start is hard to get
+    right: every 97th center and the 40 at each end, 0 to 3 ulps either
+    side, as they are and shifted by pos, so that fl(x - pos) falls on or
+    next to a center; random points of [a, b]; and points beyond
+    x_0 - 747/w and b + 37/w."""
+    w, centers, p = g.w, g.centers, g.partition
+    pos = POS_CUTOFF / w
+    xs = []
+    for c in set(centers[::97] + centers[:40] + centers[-40:]):
+        xs += _around(c, steps=3)[:7] + _around(c + pos, steps=3)[:7]
+    xs += [rng.uniform(p.a, p.b) for _ in range(2000)]
+    xs += [centers[0] + k * NEG_CUTOFF / w for k in (1.0, 1.5, 4.0)]
+    xs += [p.b + k * pos for k in (1.0, 1.5, 4.0)]
+    return sorted(set(xs))
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOW_START_INTERVALS))
+@pytest.mark.parametrize("above", [False, True])
+def test_evaluate_starts_the_window_where_bisect_left_does(above, kind, monkeypatch):
+    # N just below N_ARITH bisects, N = N_ARITH guesses; either way the
+    # result's bits and the sigmoid calls, counted by wrapping the engine's
+    # `sigmoid`, are those of the window from two bisections
+    g = _window_start_network(engine.N_ARITH - 1 + above, kind)
+    centers = g.centers
+    r = (len(centers) - 3) / (centers[-2] - centers[1]) if above else None
+    assert g._kernel[13:] == (centers[1], r, len(centers) - 3.0)
+    xs = _window_start_points(g, random.Random(34))
+    d, cmax = _lookahead_d(g), _cmax(g)
+    count = [0]
+
+    def counted(t):
+        count[0] += 1
+        return sigmoid(t)
+
+    monkeypatch.setattr(engine, "sigmoid", counted)
+    got = []
+    for x in xs:
+        count[0] = 0
+        got.append((evaluate(g, x), count[0]))
+    monkeypatch.undo()
+    for x, (gx, calls) in zip(xs, got):
+        want, want_calls = _window_rule_calls(g, x, d, cmax)
+        assert (_bits(gx), calls) == (_bits(want), want_calls), x
+    # the naive sum over all N + 1 units, at a few of the points and all
+    # of those beyond the ends
+    for x in xs[::max(1, len(xs) // 20)] + xs[:3] + xs[-3:]:
+        assert _bits(evaluate(g, x)) == _bits(reference_G(g, x)), x
+
+
+@pytest.mark.parametrize("c1, top", [(0.0, 0.0), (0.0, 5e-324), (-1e308, 1e308)])
+def test_the_window_start_guess_is_off_where_r_is_not_finite(c1, top):
+    # N_ARITH intervals whose centers x_1..x_{N-1} span 0, the least
+    # double, or more than MAX: r would divide by 0, overflow or be 0
+    n = engine.N_ARITH
+    points = (-1.5e308, c1, c1) + (top,) * (n - 2) + (1.5e308,)
+    p = UniformPartition(a=c1, b=1.5e308, n_intervals=n, points=points)
+    g = SigmoidApproximant(w=1.0, partition=p, coeff0=0.5, coeffs=(0.25,) * n)
+    assert g._kernel[13:] == (c1, None, n - 2.0)
+    for x in (-2.0, 0.0, 5e-324, 0.5, 40.0, 800.0):
+        assert _bits(evaluate(g, x)) == _bits(reference_G(g, x)), x
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_evaluate_bisects_at_few_random_points_above_n_arith(above, monkeypatch):
+    g = _window_start_network(engine.N_ARITH - 1 + above, "ordinary")
+    rng = random.Random(7)
+    xs = [rng.uniform(0.0, 1.0) for _ in range(5000)]
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(engine, "bisect_left", counted)
+    for x in xs:
+        evaluate(g, x)
+    if above:
+        assert count[0] < len(xs) / 100
+    else:
+        assert count[0] == len(xs)
 
 
 @pytest.mark.parametrize("w", [1e-300, 1.0, 1e300])
@@ -1267,7 +1378,9 @@ def test_kernel_constants_match_a_recomputation_from_centers_and_coefficients(na
     assert got[1] is centers and got[2] is coeffs and got[9] == len(centers)
     assert list(map(_bits, got[3])) == list(map(_bits, prefix))
     doubles = (w, tail, 37.0 / w, -747.0 / w, cmax, floor, lo, hi, slack)
-    assert list(map(_bits, got[:1] + got[4:9] + got[10:])) == list(map(_bits, doubles))
+    assert list(map(_bits, got[:1] + got[4:9] + got[10:13])) == list(map(_bits, doubles))
+    # below N_ARITH intervals the window-start guess is off
+    assert got[13:] == (centers[1], None, len(centers) - 3.0)
     assert math.isfinite(slack) == finite
     if name == "overflow":
         assert math.isinf(prefix[-1]) and q < 1.0 and lo == -big

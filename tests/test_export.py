@@ -738,6 +738,16 @@ def test_a_stream_is_written_through_and_left_open(writer, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
+@pytest.mark.parametrize("writer", ["write_network_document", "write_network", "write_samples"])
+def test_a_fifo_is_written_through_not_replaced(writer, tmp_path, drained_fifo):
+    path = tmp_path / "regular"
+    _write_each(path)[writer]()
+    _write_each(drained_fifo.path)[writer]()
+    assert drained_fifo.read() == path.read_bytes()
+    assert drained_fifo.path.is_fifo()
+    assert [p.name for p in drained_fifo.dir.iterdir()] == ["fifo"]
+
+
 def test_samples_file_takes_a_stream():
     spec, recipe, g = pipeline("x", 1.0, 1.0, 0.2)
     out = io.StringIO()
